@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"anycastctx/internal/artifact"
 	"anycastctx/internal/bgp"
@@ -29,6 +30,13 @@ type Deployment struct {
 	Sites []bgp.Site
 
 	resolver *bgp.Resolver
+
+	// globalIdx indexes the global sites for ClosestGlobalSite, built on
+	// first use; globalIDs maps its positions to site IDs. Sites never
+	// change after construction.
+	globalOnce sync.Once
+	globalIdx  *geo.Index
+	globalIDs  []int
 }
 
 // NumGlobalSites returns the count of globally announced sites.
@@ -127,18 +135,23 @@ func Renamed(d *Deployment, name string) *Deployment {
 
 // ClosestGlobalSite returns the ID and great-circle distance (km) of the
 // global site nearest to loc, or (-1, 0) if the deployment has none.
+// Ties go to the lowest site ID.
 func (d *Deployment) ClosestGlobalSite(loc geo.Coord) (int, float64) {
-	best, bestD := -1, 0.0
-	for _, s := range d.Sites {
-		if !s.Global {
-			continue
+	d.globalOnce.Do(func() {
+		var locs []geo.Coord
+		for _, s := range d.Sites {
+			if s.Global {
+				d.globalIDs = append(d.globalIDs, s.ID)
+				locs = append(locs, s.Loc)
+			}
 		}
-		dd := geo.DistanceKm(loc, s.Loc)
-		if best == -1 || dd < bestD {
-			best, bestD = s.ID, dd
-		}
+		d.globalIdx = geo.NewIndex(locs)
+	})
+	i, km := d.globalIdx.Nearest(loc)
+	if i < 0 {
+		return -1, 0
 	}
-	return best, bestD
+	return d.globalIDs[i], km
 }
 
 // LetterSpec describes one root letter's deployment.

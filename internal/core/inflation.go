@@ -146,18 +146,14 @@ func LatencyInflationAllRoots(c *ditl.Campaign, j *ditl.Join, usable map[string]
 // CDNGeoInflation computes Eq. 1 per RTT for one ring from server-side
 // logs, weighted by location users (Fig 5a).
 func CDNGeoInflation(rows []cdn.ServerLogRow, ring *cdn.Ring) []stats.WeightedValue {
+	sites := geo.NewIndex(ring.SiteLocs)
 	out := make([]stats.WeightedValue, 0, len(rows))
 	for _, r := range rows {
 		if r.Ring != ring.Name {
 			continue
 		}
 		chosen := geo.DistanceKm(r.Location.Loc, ring.SiteLocs[r.FrontEnd])
-		minD := math.Inf(1)
-		for _, loc := range ring.SiteLocs {
-			if d := geo.DistanceKm(r.Location.Loc, loc); d < minD {
-				minD = d
-			}
-		}
+		_, minD := sites.Nearest(r.Location.Loc)
 		gi := geo.GeoRTTMs(chosen - minD)
 		if gi < 0 {
 			gi = 0
@@ -173,6 +169,7 @@ func CDNGeoInflation(rows []cdn.ServerLogRow, ring *cdn.Ring) []stats.WeightedVa
 // by ring index, not ring identity), so it is comparable across worlds
 // that renumber rings — the scenario engine's before/after deltas use it.
 func CDNGeoInflationRoutes(ring *cdn.Ring, locs []cdn.Location) []stats.WeightedValue {
+	sites := geo.NewIndex(ring.SiteLocs)
 	out := make([]stats.WeightedValue, 0, len(locs))
 	for _, l := range locs {
 		rt, ok := ring.Deployment.Route(l.ASN)
@@ -180,12 +177,7 @@ func CDNGeoInflationRoutes(ring *cdn.Ring, locs []cdn.Location) []stats.Weighted
 			continue
 		}
 		chosen := geo.DistanceKm(l.Loc, ring.SiteLocs[rt.SiteID])
-		minD := math.Inf(1)
-		for _, loc := range ring.SiteLocs {
-			if d := geo.DistanceKm(l.Loc, loc); d < minD {
-				minD = d
-			}
-		}
+		_, minD := sites.Nearest(l.Loc)
 		gi := geo.GeoRTTMs(chosen - minD)
 		if gi < 0 {
 			gi = 0
@@ -198,17 +190,13 @@ func CDNGeoInflationRoutes(ring *cdn.Ring, locs []cdn.Location) []stats.Weighted
 // CDNLatencyInflation computes Eq. 2 per RTT for one ring from server-side
 // logs (Fig 5b).
 func CDNLatencyInflation(rows []cdn.ServerLogRow, ring *cdn.Ring) []stats.WeightedValue {
+	sites := geo.NewIndex(ring.SiteLocs)
 	out := make([]stats.WeightedValue, 0, len(rows))
 	for _, r := range rows {
 		if r.Ring != ring.Name {
 			continue
 		}
-		minD := math.Inf(1)
-		for _, loc := range ring.SiteLocs {
-			if d := geo.DistanceKm(r.Location.Loc, loc); d < minD {
-				minD = d
-			}
-		}
+		_, minD := sites.Nearest(r.Location.Loc)
 		li := r.MedianRTTMs - geo.RTTLowerBoundMs(minD)
 		if li < 0 {
 			li = 0

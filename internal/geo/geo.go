@@ -62,18 +62,6 @@ func DistanceKm(a, b Coord) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
 }
 
-// UnitVec returns c's unit vector on the sphere. Dot products of unit
-// vectors order points by great-circle distance (larger dot = closer)
-// without per-pair trigonometry, so nearest-point scans can precompute
-// vectors once and call DistanceKm only for the winner.
-func UnitVec(c Coord) (x, y, z float64) {
-	const degToRad = math.Pi / 180
-	lat := c.Lat * degToRad
-	lon := c.Lon * degToRad
-	cosLat := math.Cos(lat)
-	return cosLat * math.Cos(lon), cosLat * math.Sin(lon), math.Sin(lat)
-}
-
 // RTTLowerBoundMs returns the minimum credible round-trip time in
 // milliseconds between two points d kilometers apart: the great-circle
 // round trip at (2/3)·c_f (Eq. 2's second term).

@@ -188,19 +188,6 @@ func TestGenerateRegionsSmallCounts(t *testing.T) {
 	}
 }
 
-func TestNearestRegion(t *testing.T) {
-	regions := []Region{
-		{ID: 0, Name: "a", Center: Coord{0, 0}},
-		{ID: 1, Name: "b", Center: Coord{50, 50}},
-	}
-	if got := NearestRegion(regions, Coord{49, 49}); got != 1 {
-		t.Errorf("NearestRegion = %d, want 1", got)
-	}
-	if got := NearestRegion(nil, Coord{0, 0}); got != -1 {
-		t.Errorf("NearestRegion(nil) = %d, want -1", got)
-	}
-}
-
 func TestAnchorsSortedByWeight(t *testing.T) {
 	as := Anchors()
 	if len(as) == 0 {
