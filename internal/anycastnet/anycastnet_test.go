@@ -162,6 +162,42 @@ func TestClosestGlobalSite(t *testing.T) {
 	}
 }
 
+// TestClosestGlobalSiteConcurrent races the lazy index build from several
+// goroutines and checks every answer against a direct first-wins scan of
+// the global sites.
+func TestClosestGlobalSiteConcurrent(t *testing.T) {
+	g := buildGraph(t)
+	d, err := BuildLetter(g, LetterSpec{Letter: "J", GlobalSites: 40, TotalSites: 55, Openness: 0.3},
+		rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 200; i++ {
+				loc := geo.Coord{Lat: 180*rng.Float64() - 90, Lon: 360*rng.Float64() - 180}
+				if i%2 == 1 {
+					loc = d.Sites[rng.Intn(len(d.Sites))].Loc
+				}
+				want, wantKm := -1, 0.0
+				for _, s := range d.Sites {
+					if km := geo.DistanceKm(loc, s.Loc); s.Global && (want < 0 || km < wantKm) {
+						want, wantKm = s.ID, km
+					}
+				}
+				if id, km := d.ClosestGlobalSite(loc); id != want || km != wantKm {
+					t.Errorf("ClosestGlobalSite(%v) = (%d, %v), direct scan (%d, %v)", loc, id, km, want, wantKm)
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
 func TestBuildLettersAll2018(t *testing.T) {
 	g := buildGraph(t)
 	rng := rand.New(rand.NewSource(6))
