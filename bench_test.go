@@ -145,7 +145,7 @@ func BenchmarkCampaignAssemblySerial(b *testing.B) {
 	withProcs(1, func() { benchCampaignAssembly(b) })
 }
 
-func benchCaptureEmission(b *testing.B) {
+func BenchmarkCaptureEmission(b *testing.B) {
 	w := getBenchWorld(b)
 	li, site := busiestLetterSite(w)
 	b.ResetTimer()
@@ -154,11 +154,6 @@ func benchCaptureEmission(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkCaptureEmission(b *testing.B) { benchCaptureEmission(b) }
-func BenchmarkCaptureEmissionSerial(b *testing.B) {
-	withProcs(1, func() { benchCaptureEmission(b) })
 }
 
 func benchPingSampling(b *testing.B) {

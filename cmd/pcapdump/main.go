@@ -85,20 +85,20 @@ func main() {
 			printed++
 			return nil
 		}
-		ip := pkt.IPv4()
+		ip := pkt.IPv4
 		proto := "?"
 		var sport, dport uint16
-		switch {
-		case pkt.UDP() != nil:
+		switch ip.Protocol {
+		case pcapio.ProtoUDP:
 			proto = "UDP"
-			sport, dport = pkt.UDP().SrcPort, pkt.UDP().DstPort
-		case pkt.TCP() != nil:
+			sport, dport = pkt.UDP.SrcPort, pkt.UDP.DstPort
+		case pcapio.ProtoTCP:
 			proto = "TCP"
-			sport, dport = pkt.TCP().SrcPort, pkt.TCP().DstPort
+			sport, dport = pkt.TCP.SrcPort, pkt.TCP.DstPort
 		}
 		line := fmt.Sprintf("%s  %s %s:%d > %s:%d",
 			rec.Time.Format("15:04:05.000000"), proto, ip.Src, sport, ip.Dst, dport)
-		if payload := pkt.Payload(); len(payload) > 0 {
+		if payload := pkt.Payload; len(payload) > 0 {
 			if msg, err := dnswire.Decode(payload); err == nil && len(msg.Questions) > 0 {
 				dir := "query"
 				if msg.Header.Response {

@@ -97,7 +97,7 @@ func TestJoinCDNMatchesSerial(t *testing.T) {
 }
 
 // TestEmitSiteCaptureByteStable emits the same capture twice and requires
-// identical bytes: the pooled scratch buffers (DNS encode, packet
+// identical bytes: the reused scratch buffers (DNS encode, packet
 // serialize, pcap writer) must never leak stale content into output.
 func TestEmitSiteCaptureByteStable(t *testing.T) {
 	f := buildFixture(t)
@@ -162,6 +162,26 @@ func BenchmarkEmitSiteCapture(b *testing.B) {
 		var buf bytes.Buffer
 		if _, err := f.camp.EmitSiteCapture(&buf, 2, 0, 2000, 7); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSummarizeCapture measures decoding one site capture back into
+// a summary: pcap records, packets and DNS payloads.
+func BenchmarkSummarizeCapture(b *testing.B) {
+	f := buildFixture(b)
+	var buf bytes.Buffer
+	n, err := f.camp.EmitSiteCapture(&buf, 2, 0, 2000, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := SummarizeCapture(bytes.NewReader(buf.Bytes()))
+		if err != nil || s.Packets != n {
+			b.Fatalf("summarized %v of %d packets: %v", s, n, err)
 		}
 	}
 }

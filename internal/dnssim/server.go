@@ -10,22 +10,38 @@ import (
 // wire-format DNS queries from the root zone — referrals with NS records
 // and glue for existing TLDs, NXDOMAIN for everything else. The DITL
 // capture generator uses it so emitted response packets carry real
-// referral payloads.
+// referral payloads. A RootServer memoizes answers and is not safe for
+// concurrent use.
 type RootServer struct {
 	zone *Zone
 	// letter identifies which letter this server instance belongs to
 	// (cosmetic: appears in the SOA MNAME).
 	letter string
-	// soa is the SOA rdata for negative responses, built once: it depends
-	// only on the letter, and NXDOMAINs dominate capture traffic, so
-	// rebuilding it per response was a measurable allocation source.
-	soa []byte
+	// soa is the authority section of negative responses, built once: it
+	// depends only on the letter, and NXDOMAINs dominate capture traffic,
+	// so rebuilding it per response was a measurable allocation source.
+	soa []dnswire.RR
+	// referrals memoizes each TLD's NS RRset and glue.
+	referrals map[*TLD]referral
+	// scratch holds the encoding of the UDP-size check.
+	scratch []byte
+}
+
+// referral is the authority and additional sections of a TLD referral.
+type referral struct {
+	ns, glue []dnswire.RR
 }
 
 // NewRootServer creates an authoritative server over zone.
 func NewRootServer(zone *Zone, letter string) *RootServer {
-	s := &RootServer{zone: zone, letter: letter}
-	s.soa = s.soaRData()
+	s := &RootServer{zone: zone, letter: letter, referrals: make(map[*TLD]referral)}
+	s.soa = []dnswire.RR{{
+		Name:  ".",
+		Type:  dnswire.TypeSOA,
+		Class: dnswire.ClassIN,
+		TTL:   86400,
+		RData: s.soaRData(),
+	}}
 	return s
 }
 
@@ -51,6 +67,8 @@ func (s *RootServer) soaRData() []byte {
 // Respond answers one query message. Unknown or malformed questions get
 // FORMERR/NXDOMAIN as a real root would; queries for existing TLDs get a
 // referral (authority NS set plus A glue for the glued nameservers).
+// The authority and additional records are shared with other responses:
+// appending to those sections is safe, rewriting their records is not.
 func (s *RootServer) Respond(q *dnswire.Message) *dnswire.Message {
 	if len(q.Questions) == 0 {
 		m := dnswire.NewResponse(q, dnswire.RCodeFormErr, nil)
@@ -72,25 +90,45 @@ func (s *RootServer) Respond(q *dnswire.Message) *dnswire.Message {
 	tld, ok := s.zone.Lookup(tldName)
 	if !ok {
 		m := dnswire.NewResponse(q, dnswire.RCodeNXDomain, nil)
-		m.Authority = []dnswire.RR{{
-			Name:  ".",
-			Type:  dnswire.TypeSOA,
-			Class: dnswire.ClassIN,
-			TTL:   86400,
-			RData: s.soa,
-		}}
+		m.Authority = s.soa[:1:1]
 		return m
 	}
 
 	// Referral: NS RRset in the authority section, glue in additional.
+	// The sections are shared between responses, so they are capped: an
+	// append (SetEDNS, say) copies instead of writing into the memo.
+	ref := s.referral(tld)
 	m := dnswire.NewResponse(q, dnswire.RCodeNoError, nil)
 	m.Header.Authoritative = false // referrals are not authoritative answers
+	m.Authority = ref.ns[:len(ref.ns):len(ref.ns)]
+	m.Additional = ref.glue[:len(ref.glue):len(ref.glue)]
+	// Truncate when the referral exceeds what the querier accepts over
+	// UDP (classic 512 bytes without EDNS): strip the sections and set TC
+	// so the client retries over TCP — the retries §3 mines for RTTs.
+	if enc, err := m.EncodeInto(s.scratch); err == nil {
+		s.scratch = enc
+		if len(enc) > q.MaxUDPPayload() {
+			m.Authority = nil
+			m.Additional = nil
+			m.Header.Truncated = true
+		}
+	}
+	return m
+}
+
+// referral returns tld's memoized referral sections, building them on
+// first use.
+func (s *RootServer) referral(tld *TLD) referral {
+	if ref, ok := s.referrals[tld]; ok {
+		return ref
+	}
+	var ref referral
 	for _, ns := range tld.NSNames {
 		rd, err := dnswire.NameRData(ns)
 		if err != nil {
 			continue
 		}
-		m.Authority = append(m.Authority, dnswire.RR{
+		ref.ns = append(ref.ns, dnswire.RR{
 			Name:  tld.Name,
 			Type:  dnswire.TypeNS,
 			Class: dnswire.ClassIN,
@@ -99,7 +137,7 @@ func (s *RootServer) Respond(q *dnswire.Message) *dnswire.Message {
 		})
 	}
 	for i := 0; i < tld.GluedA && i < len(tld.NSNames); i++ {
-		m.Additional = append(m.Additional, dnswire.RR{
+		ref.glue = append(ref.glue, dnswire.RR{
 			Name:  tld.NSNames[i],
 			Type:  dnswire.TypeA,
 			Class: dnswire.ClassIN,
@@ -107,15 +145,8 @@ func (s *RootServer) Respond(q *dnswire.Message) *dnswire.Message {
 			RData: glueAddr(tld.Name, i),
 		})
 	}
-	// Truncate when the referral exceeds what the querier accepts over
-	// UDP (classic 512 bytes without EDNS): strip the sections and set TC
-	// so the client retries over TCP — the retries §3 mines for RTTs.
-	if enc, err := m.Encode(); err == nil && len(enc) > q.MaxUDPPayload() {
-		m.Authority = nil
-		m.Additional = nil
-		m.Header.Truncated = true
-	}
-	return m
+	s.referrals[tld] = ref
+	return ref
 }
 
 // glueAddr derives a stable synthetic glue address for a TLD nameserver.

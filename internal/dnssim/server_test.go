@@ -170,3 +170,41 @@ func TestRootServerTruncatesWithoutEDNS(t *testing.T) {
 		t.Fatal("EDNS referral missing authority records")
 	}
 }
+
+// TestRootServerMemoIsolated: the referral and SOA sections are memoized,
+// so growing one response's sections (SetEDNS appends an OPT record) must
+// never show up in the next response for the same TLD, nor growing the
+// next one in a response already handed out.
+func TestRootServerMemoIsolated(t *testing.T) {
+	z := testZone(t)
+	encode := func(m *dnswire.Message) string {
+		b, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, name := range []string{"example.com", "host.invalidtldxyz"} {
+		q := dnswire.NewQuery(5, name, dnswire.TypeA)
+		fresh := encode(NewRootServer(z, "K").Respond(q))
+		s := NewRootServer(z, "K")
+		var held []*dnswire.Message
+		var heldWire []string
+		for i := 0; i < 4; i++ {
+			resp := s.Respond(q)
+			if encode(resp) != fresh {
+				t.Fatalf("%s: response %d differs from a fresh server's", name, i)
+			}
+			resp.SetEDNS(4096, i%2 == 0)
+			resp.Authority = append(resp.Authority, dnswire.RR{Name: "x", Type: dnswire.TypeA, Class: dnswire.ClassIN, RData: []byte{1, 2, 3, byte(i)}})
+			resp.Additional = append(resp.Additional, dnswire.RR{Name: "y", Type: dnswire.TypeA, Class: dnswire.ClassIN, RData: []byte{5, 6, 7, byte(i)}})
+			held = append(held, resp)
+			heldWire = append(heldWire, encode(resp))
+			for k, m := range held {
+				if encode(m) != heldWire[k] {
+					t.Fatalf("%s: growing response %d changed response %d", name, i, k)
+				}
+			}
+		}
+	}
+}

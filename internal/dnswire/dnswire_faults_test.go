@@ -111,19 +111,18 @@ func TestDecodePointerChainDepthLimited(t *testing.T) {
 }
 
 // TestCompressedOversizedNameRejected pins the encode/decode asymmetry
-// the round-trip fuzzer caught: compression let AppendName emit a
+// the round-trip fuzzer caught: compression let the name encoder emit a
 // pointer for an oversized name before the length check at the end of
 // the label loop could run, producing wire bytes whose expansion the
 // decoder rejects.
 func TestCompressedOversizedNameRejected(t *testing.T) {
 	base := strings.TrimSuffix(strings.Repeat("abcdefghi.", 25), ".") // 249 chars, valid
-	table := map[string]int{}
-	b, err := AppendName(nil, base, table)
+	b, table, err := appendName(nil, base, compressionTable{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	long := strings.Repeat("z", 50) + "." + base // 300 chars
-	if _, err := AppendName(b, long, table); !errors.Is(err, ErrNameTooLong) {
+	if _, _, err := appendName(b, long, table); !errors.Is(err, ErrNameTooLong) {
 		t.Errorf("compressed oversized name err = %v, want ErrNameTooLong", err)
 	}
 }

@@ -168,14 +168,14 @@ func TestTrailingDotNormalized(t *testing.T) {
 }
 
 func TestEncodeErrors(t *testing.T) {
-	if _, err := AppendName(nil, strings.Repeat("a", 64)+".com", nil); !errors.Is(err, ErrLabelTooLong) {
+	if _, err := NameRData(strings.Repeat("a", 64) + ".com"); !errors.Is(err, ErrLabelTooLong) {
 		t.Errorf("long label err = %v", err)
 	}
 	long := strings.Repeat("abcdefgh.", 32) + "com"
-	if _, err := AppendName(nil, long, nil); !errors.Is(err, ErrNameTooLong) {
+	if _, err := NameRData(long); !errors.Is(err, ErrNameTooLong) {
 		t.Errorf("long name err = %v", err)
 	}
-	if _, err := AppendName(nil, "a..b", nil); err == nil {
+	if _, err := NameRData("a..b"); err == nil {
 		t.Error("empty label accepted")
 	}
 	m := NewQuery(1, "x", TypeA)

@@ -23,10 +23,11 @@ func benchPacket(b *testing.B) []byte {
 	return pkt
 }
 
-// BenchmarkDecodePacket measures the layered decode path.
+// BenchmarkDecodePacket measures the packet decode path.
 func BenchmarkDecodePacket(b *testing.B) {
 	pkt := benchPacket(b)
 	b.SetBytes(int64(len(pkt)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodePacket(pkt); err != nil {

@@ -33,22 +33,23 @@ func TestUDPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip := pkt.IPv4()
-	if ip == nil || ip.Src != src || ip.Dst != dst || ip.Protocol != ProtoUDP || ip.ID != 77 {
+	ip := pkt.IPv4
+	if ip.Src != src || ip.Dst != dst || ip.Protocol != ProtoUDP || ip.ID != 77 {
 		t.Errorf("ip = %+v", ip)
 	}
-	udp := pkt.UDP()
-	if udp == nil || udp.SrcPort != 4096 || udp.DstPort != 53 {
+	if udp := pkt.UDP; udp.SrcPort != 4096 || udp.DstPort != 53 {
 		t.Errorf("udp = %+v", udp)
 	}
-	if !bytes.Equal(pkt.Payload(), payload) {
-		t.Errorf("payload = %q", pkt.Payload())
+	if !bytes.Equal(pkt.Payload, payload) {
+		t.Errorf("payload = %q", pkt.Payload)
 	}
-	if pkt.TCP() != nil {
-		t.Error("unexpected TCP layer")
+	if pkt.TCP != (TCP{}) {
+		t.Errorf("unexpected TCP header %+v", pkt.TCP)
 	}
-	if len(pkt.Layers()) != 3 {
-		t.Errorf("layers = %d", len(pkt.Layers()))
+	// The payload aliases the input and is capped at its end, so an
+	// append never writes into the bytes behind it.
+	if &pkt.Payload[0] != &b[28] || cap(pkt.Payload) != len(payload) {
+		t.Errorf("payload does not alias the input: cap %d", cap(pkt.Payload))
 	}
 }
 
@@ -64,14 +65,13 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp := pkt.TCP()
-	if tcp == nil || tcp.Seq != 1000 || tcp.Ack != 2000 || tcp.Flags != FlagSYN|FlagACK {
+	if tcp := pkt.TCP; pkt.IPv4.Protocol != ProtoTCP || tcp.Seq != 1000 || tcp.Ack != 2000 || tcp.Flags != FlagSYN|FlagACK {
 		t.Errorf("tcp = %+v", tcp)
 	}
-	if pkt.IPv4().TTL != 50 {
-		t.Errorf("ttl = %d", pkt.IPv4().TTL)
+	if pkt.IPv4.TTL != 50 {
+		t.Errorf("ttl = %d", pkt.IPv4.TTL)
 	}
-	if pkt.Payload() != nil {
+	if pkt.Payload != nil {
 		t.Error("expected empty payload")
 	}
 	// With payload.
@@ -83,8 +83,8 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(pkt2.Payload()) != "data" {
-		t.Errorf("payload = %q", pkt2.Payload())
+	if string(pkt2.Payload) != "data" {
+		t.Errorf("payload = %q", pkt2.Payload)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestDNSInsideUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := dnswire.Decode(pkt.Payload())
+	msg, err := dnswire.Decode(pkt.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestUnknownProtocolKeptAsPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkt.UDP() != nil || pkt.TCP() != nil {
-		t.Error("unexpected transport layer")
+	if pkt.UDP != (UDP{}) || pkt.TCP != (TCP{}) {
+		t.Error("unexpected transport header")
 	}
-	if len(pkt.Payload()) != 4 {
-		t.Errorf("payload len = %d", len(pkt.Payload()))
+	if len(pkt.Payload) != 4 {
+		t.Errorf("payload len = %d", len(pkt.Payload))
 	}
 }
 
@@ -296,16 +296,6 @@ func TestSerializeRejectsHuge(t *testing.T) {
 	}
 	if _, err := SerializeTCP(&IPv4{}, &TCP{}, make([]byte, 70000)); err == nil {
 		t.Error("oversized TCP accepted")
-	}
-}
-
-func TestLayerTypeString(t *testing.T) {
-	if LayerTypeIPv4.String() != "IPv4" || LayerTypeTCP.String() != "TCP" ||
-		LayerTypeUDP.String() != "UDP" || LayerTypePayload.String() != "Payload" {
-		t.Error("layer type names wrong")
-	}
-	if LayerType(9).String() != "LayerType(9)" {
-		t.Error("unknown layer type string wrong")
 	}
 }
 
