@@ -8,13 +8,19 @@ import (
 	"anycastctx/internal/topology"
 )
 
-func benchWorld(b *testing.B, sites int) (*topology.Graph, *Resolver) {
+func benchGraph(b *testing.B) *topology.Graph {
 	b.Helper()
 	regions := geo.GenerateRegions(geo.PaperRegionCounts, rand.New(rand.NewSource(42)))
 	g, err := topology.New(topology.Config{Seed: 1, NumTier1: 12, NumTransit: 80, NumEyeball: 1000}, regions)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return g
+}
+
+func benchWorld(b *testing.B, sites int) (*topology.Graph, *Resolver) {
+	b.Helper()
+	g := benchGraph(b)
 	anchors := geo.Anchors()
 	ss := make([]Site, sites)
 	for i := range ss {
@@ -29,30 +35,54 @@ func benchWorld(b *testing.B, sites int) (*topology.Graph, *Resolver) {
 	return g, r
 }
 
-// BenchmarkRouteSmallDeployment measures per-source catchment resolution
-// against a 5-site deployment.
-func BenchmarkRouteSmallDeployment(b *testing.B) {
-	g, r := benchWorld(b, 5)
+// benchRoutes times uncached resolution: each iteration decides one
+// eyeball's route from scratch, bypassing the route memo (which would
+// otherwise serve every iteration after the first pass over the
+// eyeballs). The transit tables are built before the timer starts.
+func benchRoutes(b *testing.B, g *topology.Graph, r *Resolver) {
 	eyeballs := g.Eyeballs()
+	r.EnsureTables()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := r.Route(eyeballs[i%len(eyeballs)]); !ok {
+		if _, ok := r.resolveRoute(eyeballs[i%len(eyeballs)]); !ok {
 			b.Fatal("no route")
 		}
 	}
+}
+
+// BenchmarkRouteSmallDeployment measures per-source route resolution
+// against a 5-site deployment.
+func BenchmarkRouteSmallDeployment(b *testing.B) {
+	g, r := benchWorld(b, 5)
+	benchRoutes(b, g, r)
 }
 
 // BenchmarkRouteLargeDeployment measures resolution against a 138-site
 // deployment (L-root scale).
 func BenchmarkRouteLargeDeployment(b *testing.B) {
 	g, r := benchWorld(b, 138)
-	eyeballs := g.Eyeballs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := r.Route(eyeballs[i%len(eyeballs)]); !ok {
-			b.Fatal("no route")
-		}
+	benchRoutes(b, g, r)
+}
+
+// BenchmarkRouteCDNRing measures resolution against a 110-site ring whose
+// sites all sit on one 110-PoP, richly peered host (the CDN shape).
+func BenchmarkRouteCDNRing(b *testing.B) {
+	g := benchGraph(b)
+	pops := make([]geo.Coord, 110)
+	for i := range pops {
+		pops[i] = g.Regions[i%len(g.Regions)].Center
 	}
+	host := g.AddCDNAS("cdn", pops)
+	ss := make([]Site, len(pops))
+	for i, p := range pops {
+		ss[i] = Site{ID: i, Loc: p, Host: host.ASN, Global: true}
+	}
+	r, err := NewResolver(g, ss)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRoutes(b, g, r)
 }
 
 // BenchmarkNewResolver measures the per-deployment precomputation.

@@ -19,10 +19,11 @@
 package bgp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -141,6 +142,18 @@ type Resolver struct {
 	hostSlot    []int32
 	sharedHosts int
 
+	// presKm[siteID][i] = geo.DistanceKm(host.Presence[i], site.Loc) for
+	// the site's host: the in-host leg of every early-exit tie-break key
+	// (an entry, egress or interconnect point is always one of the host's
+	// presence points). Each key is then the same float64 sum as pricing
+	// the leg with its own haversine, so the first-wins minimum picks the
+	// same site. Built in NewResolver (not under tablesOnce, which
+	// RestoreState bypasses). Host Presence is
+	// frozen before any resolver exists: its only mutation is the shared
+	// partner host in anycastnet's letter builder, which completes before
+	// the letter's resolver is built.
+	presKm [][]float64
+
 	cache [routeCacheShards]routeCacheShard
 }
 
@@ -171,6 +184,21 @@ func NewResolver(g *topology.Graph, sites []Site) (*Resolver, error) {
 			r.sharedHosts++
 		}
 		r.hostSlot[i] = r.hostSlot[j]
+	}
+	n := 0
+	for _, s := range sites {
+		n += len(g.AS(s.Host).Presence)
+	}
+	flat := make([]float64, n)
+	r.presKm = make([][]float64, len(sites))
+	for i, s := range sites {
+		pres := g.AS(s.Host).Presence
+		row := flat[:len(pres):len(pres)]
+		flat = flat[len(pres):]
+		for j, p := range pres {
+			row[j] = geo.DistanceKm(p, s.Loc)
+		}
+		r.presKm[i] = row
 	}
 	for i := range r.cache {
 		r.cache[i].m = make(map[topology.ASN]cachedRoute)
@@ -259,7 +287,7 @@ func (r *Resolver) Sites() []Site { return r.sites }
 
 // visible reports whether src can use site s at all: global sites always,
 // local sites only from the same region or with direct peering to the host.
-func (r *Resolver) visible(src *topology.AS, s Site) bool {
+func (r *Resolver) visible(src *topology.AS, s *Site) bool {
 	if s.Global {
 		return true
 	}
@@ -387,13 +415,59 @@ func (r *Resolver) SeedFrom(base *Resolver, remap []int, keep func(src topology.
 	return seeded
 }
 
+// stackSites bounds the deployments whose per-call site scratch (the
+// visibility flags and candidate lists) stays on the stack; every letter
+// and CDN ring fits. Larger deployments spill to the heap.
+const stackSites = 256
+
+// scratch returns buf[:n] when n fits, else a fresh slice of length n.
+func scratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// hostMemo is one shared host's nearest-presence lookup within a single
+// resolveRoute call: idx indexes the host's Presence, km is the distance
+// to the lookup point. peered is phase 1's direct-peering test.
+type hostMemo struct {
+	known, peered bool
+	idx           int32
+	km            float64
+}
+
+// nearestExit returns site id's host's presence nearest to c as a
+// Presence index and km. Hosts shared by several sites answer from memo
+// (one slot per shared host, all priced against the same c).
+func (r *Resolver) nearestExit(memo []hostMemo, id int, c geo.Coord) (int, float64) {
+	slot := r.hostSlot[id]
+	if slot >= 0 && memo[slot].known {
+		return int(memo[slot].idx), memo[slot].km
+	}
+	i, km := r.g.AS(r.sites[id].Host).NearestPresence(c)
+	if slot >= 0 {
+		memo[slot] = hostMemo{known: true, idx: int32(i), km: km}
+	}
+	return i, km
+}
+
 // resolveRoute computes the BGP decision for src (the uncached path; see
-// Route).
+// Route). Visibility is decided once per call and shared by every phase;
+// early-exit keys add a host lookup to a presKm entry, so no candidate
+// costs a haversine of its own.
 func (r *Resolver) resolveRoute(src topology.ASN) (Route, bool) {
 	S := r.g.AS(src)
 	if S == nil {
 		obsUnreachable.Inc()
 		return Route{}, false
+	}
+	var visBuf [stackSites]bool
+	var memoBuf [8]hostMemo
+	vis := scratch(visBuf[:], len(r.sites))
+	memo := scratch(memoBuf[:], r.sharedHosts)
+	for i := range r.sites {
+		vis[i] = r.visible(S, &r.sites[i])
 	}
 
 	// Phase 1: direct peer routes (path length 2). BGP prefers these on
@@ -403,29 +477,24 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, bool) {
 	best := Route{SiteID: -1}
 	bestKey := 0.0
 	var bestEntry geo.Coord
-	type hostEntry struct {
-		known, peered bool
-		entry         geo.Coord
-		dEntry        float64
-	}
-	shared := make([]hostEntry, r.sharedHosts)
-	for _, s := range r.sites {
-		if !r.visible(S, s) {
+	for id := range r.sites {
+		if !vis[id] {
 			continue
 		}
-		var he hostEntry
-		slot := r.hostSlot[s.ID]
+		var he hostMemo
+		slot := r.hostSlot[id]
 		if slot >= 0 {
-			he = shared[slot]
+			he = memo[slot]
 		}
 		if !he.known {
 			he.known = true
-			he.peered = r.g.Peered(src, s.Host)
+			he.peered = r.g.Peered(src, r.sites[id].Host)
 			if he.peered {
-				he.entry, he.dEntry = r.g.AS(s.Host).NearestPresence(S.Loc)
+				i, km := r.g.AS(r.sites[id].Host).NearestPresence(S.Loc)
+				he.idx, he.km = int32(i), km
 			}
 			if slot >= 0 {
-				shared[slot] = he
+				memo[slot] = he
 			}
 		}
 		if !he.peered {
@@ -434,10 +503,11 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, bool) {
 		// The source exits at its nearest interconnect with the host;
 		// inside the host network the anycast address is routed to the
 		// nearest site in the deployment (near-optimal WAN, §6).
-		key := he.dEntry + geo.DistanceKm(he.entry, s.Loc)
+		key := he.km + r.presKm[id][he.idx]
 		if best.SiteID == -1 || key < bestKey {
-			best = Route{SiteID: s.ID, PathLen: 2, Direct: true, Via: s.Host}
-			bestKey, bestEntry = key, he.entry
+			s := &r.sites[id]
+			best = Route{SiteID: id, PathLen: 2, Direct: true, Via: s.Host}
+			bestKey, bestEntry = key, r.g.AS(s.Host).Presence[he.idx]
 		}
 	}
 	if best.SiteID != -1 {
@@ -450,12 +520,8 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, bool) {
 	// Phase 2: provider routes. Shortest AS path across all providers wins
 	// (equal local-pref multihoming); the first provider in preference
 	// order achieving it carries the traffic.
-	type provOption struct {
-		prov    topology.ASN
-		minDist uint8
-	}
-	var opts []provOption
 	bestLen := uint8(255)
+	var chosen topology.ASN
 	td := r.tables()
 	for _, p := range S.Providers {
 		dists, ok := td[p]
@@ -464,54 +530,44 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, bool) {
 			continue
 		}
 		md := uint8(255)
-		for _, s := range r.sites {
-			if !r.visible(S, s) {
-				continue
-			}
-			if d := dists[s.ID]; d < md {
+		for id, d := range dists {
+			if d < md && vis[id] {
 				md = d
 			}
 		}
-		if md == 255 {
-			continue
-		}
-		opts = append(opts, provOption{p, md})
 		if md < bestLen {
-			bestLen = md
+			bestLen, chosen = md, p
 		}
 	}
-	if len(opts) == 0 {
+	if bestLen == 255 {
 		obsUnreachable.Inc()
 		return Route{}, false
 	}
 	obsBestPathTies.Inc()
-	var chosen topology.ASN
-	for _, o := range opts {
-		if o.minDist == bestLen {
-			chosen = o.prov
-			break
-		}
-	}
 
 	obsRoutes.Inc()
 	obsProvRoutes.Inc()
-	return r.routeViaTransit(S, chosen, bestLen), true
+	clear(memo)
+	return r.routeViaTransit(S, vis, memo, chosen, bestLen), true
 }
 
-// routeViaTransit picks the site reached through provider p among sites at
-// transit distance d, applying hot-potato selection at each stage.
-func (r *Resolver) routeViaTransit(S *topology.AS, p topology.ASN, d uint8) Route {
+// routeViaTransit picks the site reached through provider p among the
+// visible sites at transit distance d, applying hot-potato selection at
+// each stage. memo must arrive zeroed.
+func (r *Resolver) routeViaTransit(S *topology.AS, vis []bool, memo []hostMemo, p topology.ASN, d uint8) Route {
 	if d >= 2 {
 		obsDeepDecisions.Inc()
 	}
 	P := r.g.AS(p)
-	entry, _ := P.NearestPresence(S.Loc)
+	pi, _ := P.NearestPresence(S.Loc)
+	entry := P.Presence[pi]
 	dists := r.tables()[p]
 
-	candidates := make([]Site, 0, len(r.sites))
-	for _, s := range r.sites {
-		if dists[s.ID] == d && r.visible(S, s) {
-			candidates = append(candidates, s)
+	var candBuf [stackSites]int32
+	candidates := candBuf[:0]
+	for id, dd := range dists {
+		if dd == d && vis[id] {
+			candidates = append(candidates, int32(id))
 		}
 	}
 
@@ -521,21 +577,21 @@ func (r *Resolver) routeViaTransit(S *topology.AS, p topology.ASN, d uint8) Rout
 		// interconnect, which for single-site hosts is the site itself.
 		// Inside a multi-presence host (the CDN), the anycast address
 		// then travels the internal WAN to the nearest deployed site.
-		best, bestKey := candidates[0], math.Inf(1)
+		best, bestKey := int(candidates[0]), math.Inf(1)
 		var bestEgress geo.Coord
-		for _, s := range candidates {
-			host := r.g.AS(s.Host)
-			egress, dEg := host.NearestPresence(entry)
-			key := dEg + geo.DistanceKm(egress, s.Loc)
-			if key < bestKey {
-				best, bestKey, bestEgress = s, key, egress
+		for _, c := range candidates {
+			id := int(c)
+			eg, dEg := r.nearestExit(memo, id, entry)
+			if key := dEg + r.presKm[id][eg]; key < bestKey {
+				best, bestKey = id, key
+				bestEgress = r.g.AS(r.sites[id].Host).Presence[eg]
 			}
 		}
 		return Route{
-			SiteID:    best.ID,
+			SiteID:    best,
 			PathLen:   int(d) + 2,
 			Via:       p,
-			Waypoints: []geo.Coord{S.Loc, entry, bestEgress, best.Loc},
+			Waypoints: []geo.Coord{S.Loc, entry, bestEgress, r.sites[best].Loc},
 		}
 	case 2:
 		// p learned the prefix from several upstream neighbors, all with
@@ -547,50 +603,49 @@ func (r *Resolver) routeViaTransit(S *topology.AS, p topology.ASN, d uint8) Rout
 		// interconnect is nearest u's entry. With heterogeneous hosts (the
 		// root letters) u's cone holds few sites, so the "nearest" one can
 		// be far from the user — the paper's large-deployment inflation.
-		type neighbor struct {
-			u    topology.ASN
-			pref float64
-		}
-		var ns []neighbor
-		seen := map[topology.ASN]bool{}
-		for _, s := range candidates {
-			for _, u := range r.g.AS(s.Host).Providers {
-				if seen[u] || !r.adjacentUp(p, u) {
+		var nsBuf [16]neighbor
+		ns := nsBuf[:0]
+		for _, c := range candidates {
+			for _, u := range r.g.AS(r.sites[c].Host).Providers {
+				if hasNeighbor(ns, u) || !r.adjacentUp(p, u) {
 					continue
 				}
-				seen[u] = true
 				ns = append(ns, neighbor{u, r.g.PairUnit(p, u)})
 			}
 		}
-		sort.Slice(ns, func(i, j int) bool {
-			if ns[i].pref != ns[j].pref {
-				return ns[i].pref < ns[j].pref
+		slices.SortFunc(ns, func(a, b neighbor) int {
+			if a.pref != b.pref {
+				return cmp.Compare(a.pref, b.pref)
 			}
-			return ns[i].u < ns[j].u
+			return cmp.Compare(a.u, b.u)
 		})
+		// Only the neighbor that returns fills memo (keys are finite, so
+		// any candidate in its cone becomes best): no reset in between.
 		for _, n := range ns {
 			U := r.g.AS(n.u)
-			uEntry, _ := U.NearestPresence(entry)
-			best, bestKey := Site{ID: -1}, math.Inf(1)
+			ui, _ := U.NearestPresence(entry)
+			uEntry := U.Presence[ui]
+			best, bestKey := -1, math.Inf(1)
 			var bestIx geo.Coord
-			for _, s := range candidates {
-				if !r.hasProvider(s.Host, n.u) {
+			for _, c := range candidates {
+				id := int(c)
+				if !r.hasProvider(r.sites[id].Host, n.u) {
 					continue
 				}
-				ix, dIx := r.g.AS(s.Host).NearestPresence(uEntry)
-				key := dIx + geo.DistanceKm(ix, s.Loc)
-				if key < bestKey {
-					best, bestKey, bestIx = s, key, ix
+				ix, dIx := r.nearestExit(memo, id, uEntry)
+				if key := dIx + r.presKm[id][ix]; key < bestKey {
+					best, bestKey = id, key
+					bestIx = r.g.AS(r.sites[id].Host).Presence[ix]
 				}
 			}
-			if best.ID == -1 {
+			if best == -1 {
 				continue
 			}
 			return Route{
-				SiteID:    best.ID,
+				SiteID:    best,
 				PathLen:   int(d) + 2,
 				Via:       p,
-				Waypoints: []geo.Coord{S.Loc, entry, uEntry, bestIx, best.Loc},
+				Waypoints: []geo.Coord{S.Loc, entry, uEntry, bestIx, r.sites[best].Loc},
 			}
 		}
 		// No neighbor found (shouldn't happen); fall through to arbitrary.
@@ -598,20 +653,22 @@ func (r *Resolver) routeViaTransit(S *topology.AS, p topology.ASN, d uint8) Rout
 	default:
 		// Deeper paths: the decision is made far from the source and is
 		// effectively arbitrary from its perspective.
-		best, bestTie := candidates[0], math.Inf(1)
-		for _, s := range candidates {
+		best, bestTie := &r.sites[candidates[0]], math.Inf(1)
+		for _, c := range candidates {
+			s := &r.sites[c]
 			if tie := r.g.PairUnit(p, s.Host); tie < bestTie {
 				best, bestTie = s, tie
 			}
 		}
-		t1 := r.preferredTier1(p)
-		T := r.g.AS(t1)
-		mid, _ := T.NearestPresence(entry)
+		T := r.g.AS(r.preferredTier1(p))
+		ti, _ := T.NearestPresence(entry)
+		mid := T.Presence[ti]
 		host := r.g.AS(best.Host)
 		up := host.Loc
 		if len(host.Providers) > 0 {
 			if U := r.g.AS(host.Providers[0]); U != nil {
-				up, _ = U.NearestPresence(best.Loc)
+				ui, _ := U.NearestPresence(best.Loc)
+				up = U.Presence[ui]
 			}
 		}
 		return Route{
@@ -621,6 +678,23 @@ func (r *Resolver) routeViaTransit(S *topology.AS, p topology.ASN, d uint8) Rout
 			Waypoints: []geo.Coord{S.Loc, entry, mid, up, best.Loc},
 		}
 	}
+}
+
+// neighbor is one upstream of case-2 hot-potato selection, with p's
+// deterministic preference for it.
+type neighbor struct {
+	u    topology.ASN
+	pref float64
+}
+
+// hasNeighbor reports whether ns already lists u.
+func hasNeighbor(ns []neighbor, u topology.ASN) bool {
+	for _, n := range ns {
+		if n.u == u {
+			return true
+		}
+	}
+	return false
 }
 
 // hasProvider reports whether host h buys transit from u.

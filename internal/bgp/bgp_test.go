@@ -9,7 +9,7 @@ import (
 )
 
 // buildWorld creates a small graph plus helpers for deployment tests.
-func buildWorld(t *testing.T, seed int64) *topology.Graph {
+func buildWorld(t testing.TB, seed int64) *topology.Graph {
 	t.Helper()
 	regions := geo.GenerateRegions(geo.PaperRegionCounts, rand.New(rand.NewSource(42)))
 	g, err := topology.New(topology.Config{Seed: seed, NumTier1: 6, NumTransit: 40, NumEyeball: 500}, regions)

@@ -23,6 +23,10 @@ func AppendRoute(w *artifact.Writer, rt Route) {
 	}
 }
 
+// MinRouteSize is AppendRoute's encoded size for a Route without
+// Waypoints.
+const MinRouteSize = 4 + 4 + 1 + 4 + 1
+
 // ReadRoute decodes one Route written by AppendRoute.
 func ReadRoute(r *artifact.Reader) Route {
 	rt := Route{
@@ -95,7 +99,8 @@ func (r *Resolver) RestoreState(rd *artifact.Reader) error {
 	if nSites != len(r.sites) {
 		return fmt.Errorf("bgp: RestoreState: artifact has %d sites, resolver has %d", nSites, len(r.sites))
 	}
-	nASN := int(rd.U64())
+	// One table row is an ASN plus a hop count per site.
+	nASN := rd.Count(4 + nSites)
 	if err := rd.Err(); err != nil {
 		return err
 	}
@@ -108,7 +113,7 @@ func (r *Resolver) RestoreState(rd *artifact.Reader) error {
 		}
 		td[p] = dists
 	}
-	nSrc := int(rd.U64())
+	nSrc := rd.Count(4 + 1 + MinRouteSize)
 	if err := rd.Err(); err != nil {
 		return err
 	}

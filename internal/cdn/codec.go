@@ -39,8 +39,8 @@ func appendRingTable(w *artifact.Writer, names []string) map[string]uint32 {
 }
 
 func readRingTable(r *artifact.Reader) []string {
-	n := int(r.U64())
-	if r.Err() != nil || n > len(r.Rest())/4 {
+	n := r.Count(4)
+	if r.Err() != nil {
 		return nil
 	}
 	names := make([]string, n)
@@ -89,12 +89,9 @@ func EncodeServerLogs(rows []ServerLogRow) []byte {
 func DecodeServerLogs(blob []byte) ([]ServerLogRow, error) {
 	r := artifact.NewReader(blob)
 	names := readRingTable(r)
-	n := int(r.U64())
+	n := r.Count(58)
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if n > len(r.Rest())/58 {
-		return nil, fmt.Errorf("cdn: decode server logs: row count %d exceeds payload", n)
 	}
 	rows := make([]ServerLogRow, n)
 	for i := range rows {
@@ -149,12 +146,9 @@ func EncodeClientRows(rows []ClientMeasurementRow) []byte {
 func DecodeClientRows(blob []byte) ([]ClientMeasurementRow, error) {
 	r := artifact.NewReader(blob)
 	names := readRingTable(r)
-	n := int(r.U64())
+	n := r.Count(40)
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if n > len(r.Rest())/40 {
-		return nil, fmt.Errorf("cdn: decode client rows: row count %d exceeds payload", n)
 	}
 	rows := make([]ClientMeasurementRow, n)
 	for i := range rows {

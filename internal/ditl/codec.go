@@ -70,8 +70,10 @@ func DecodeCampaignArtifact(blob []byte, letters []*anycastnet.Deployment, pop *
 		Model:   model,
 		Cfg:     cfg.withDefaults(),
 	}
-	c.numRecs = int(r.U64())
-	nLetters := int(r.U64())
+	// Every recursive has at least one egress offset and every letter a
+	// length-prefixed name, so neither count can exceed the bytes left.
+	c.numRecs = r.Count(4)
+	nLetters := r.Count(4)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -93,7 +95,7 @@ func DecodeCampaignArtifact(blob []byte, letters []*anycastnet.Deployment, pop *
 	c.altFrac = r.F64s()
 	c.tcpMedian = r.F64s()
 	c.letterWeight = r.F64s()
-	nRoutes := int(r.U64())
+	nRoutes := r.Count(bgp.MinRouteSize)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -102,7 +104,7 @@ func DecodeCampaignArtifact(blob []byte, letters []*anycastnet.Deployment, pop *
 		c.routes[i] = bgp.ReadRoute(r)
 	}
 	c.routeRTT = r.F64s()
-	nEgress := int(r.U64())
+	nEgress := r.Count(4)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -111,7 +113,7 @@ func DecodeCampaignArtifact(blob []byte, letters []*anycastnet.Deployment, pop *
 		c.egressFlat[i] = ipaddr.Addr(r.U32())
 	}
 	c.egressOff = r.U32s()
-	nJunk := int(r.U64())
+	nJunk := r.Count(4)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -167,12 +169,9 @@ func EncodeJoin(j *Join) []byte {
 func DecodeJoin(blob []byte) (*Join, error) {
 	r := artifact.NewReader(blob)
 	j := &Join{ByIP: r.Bool()}
-	n := int(r.U64())
+	n := r.Count(28)
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if max := (len(blob) - r.Off()) / 24; n > max {
-		return nil, fmt.Errorf("ditl: decode join: row count %d exceeds payload", n)
 	}
 	if n > 0 {
 		j.Rows = make([]JoinedRow, n)

@@ -31,7 +31,7 @@ func EncodeRates(rates []Rates) []byte {
 // reattaching each entry to its recursive in pop by index.
 func DecodeRates(blob []byte, pop *users.Population) ([]Rates, error) {
 	r := artifact.NewReader(blob)
-	n := int(r.U64())
+	n := r.Count(6*8 + 2)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}

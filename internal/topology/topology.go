@@ -94,21 +94,21 @@ type AS struct {
 // must call it before the next NearestPresence.
 func (a *AS) InvalidatePresence() { a.pidx.Store(nil) }
 
-// NearestPresence returns the AS presence point closest to c and its
-// distance in km (first point wins ties). Every BGP route resolution
-// calls it per candidate AS, so multi-presence ASes answer from a cached
-// geo.Index rather than a haversine per point.
-func (a *AS) NearestPresence(c geo.Coord) (geo.Coord, float64) {
+// NearestPresence returns the position in Presence of the point closest
+// to c and its distance in km (first point wins ties); callers that need
+// the point read a.Presence[i]. Every BGP route resolution calls it per
+// candidate AS, so multi-presence ASes answer from a cached geo.Index
+// rather than a haversine per point.
+func (a *AS) NearestPresence(c geo.Coord) (int, float64) {
 	if len(a.Presence) == 1 {
-		return a.Presence[0], geo.DistanceKm(c, a.Presence[0])
+		return 0, geo.DistanceKm(c, a.Presence[0])
 	}
 	idx := a.pidx.Load()
 	if idx == nil {
 		idx = geo.NewIndex(a.Presence)
 		a.pidx.Store(idx)
 	}
-	i, d := idx.Nearest(c)
-	return a.Presence[i], d
+	return idx.Nearest(c)
 }
 
 // Config controls graph generation.

@@ -254,9 +254,9 @@ func TestConnected(t *testing.T) {
 
 func TestNearestPresence(t *testing.T) {
 	as := &AS{Presence: []geo.Coord{{Lat: 0, Lon: 0}, {Lat: 50, Lon: 50}}}
-	c, d := as.NearestPresence(geo.Coord{Lat: 49, Lon: 49})
-	if c != (geo.Coord{Lat: 50, Lon: 50}) {
-		t.Errorf("nearest = %v", c)
+	i, d := as.NearestPresence(geo.Coord{Lat: 49, Lon: 49})
+	if i != 1 {
+		t.Errorf("nearest = %d (%v)", i, as.Presence[i])
 	}
 	if d <= 0 || d > 300 {
 		t.Errorf("distance = %v", d)

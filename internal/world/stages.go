@@ -357,7 +357,9 @@ func (w *World) encodeRoutes() []byte {
 // resolving anything.
 func (w *World) decodeRoutes(blob []byte) error {
 	r := artifact.NewReader(blob)
-	n := int(r.U64())
+	// A letter's entry is at least its name prefix and an empty route
+	// state (site count, table count, source count).
+	n := r.Count(4 + 4 + 8 + 8)
 	if err := r.Err(); err != nil {
 		return err
 	}
