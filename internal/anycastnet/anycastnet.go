@@ -87,7 +87,7 @@ func (d *Deployment) CatchmentsCtx(ctx context.Context, srcs []topology.ASN) map
 
 // ForEachCachedRoute exposes the deployment's memoized route decisions
 // (see bgp.Resolver.ForEachCached): one call per cached source, positive
-// and negative entries alike, in unspecified order.
+// and negative entries alike, in ascending ASN order.
 func (d *Deployment) ForEachCachedRoute(fn func(src topology.ASN, rt bgp.Route, ok bool)) {
 	d.resolver.ForEachCached(fn)
 }
@@ -132,6 +132,11 @@ func (d *Deployment) RestoreRouteState(r *artifact.Reader) error {
 func Renamed(d *Deployment, name string) *Deployment {
 	return &Deployment{Name: name, Sites: d.Sites, resolver: d.resolver}
 }
+
+// SharesResolver reports whether d and o answer routes from one resolver
+// (one route memo), as a Renamed view and its original do: their routes
+// agree for every source.
+func (d *Deployment) SharesResolver(o *Deployment) bool { return d.resolver == o.resolver }
 
 // ClosestGlobalSite returns the ID and great-circle distance (km) of the
 // global site nearest to loc, or (-1, 0) if the deployment has none.

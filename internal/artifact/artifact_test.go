@@ -98,6 +98,18 @@ func TestReaderTrailingBytes(t *testing.T) {
 
 // TestReaderHugeLengthPrefix: a corrupt count prefix must fail fast, not
 // attempt a giant allocation.
+// TestReaderBoolStrict: a boolean byte other than 0 or 1 is a decode
+// error, not a silent true that would re-encode as 1.
+func TestReaderBoolStrict(t *testing.T) {
+	r := NewReader([]byte{0, 1, '0'})
+	if r.Bool() || !r.Bool() || r.Err() != nil {
+		t.Fatal("0 and 1 must decode as false and true")
+	}
+	if r.Bool() || r.Err() == nil {
+		t.Fatal("byte 0x30 accepted as a boolean")
+	}
+}
+
 func TestReaderHugeLengthPrefix(t *testing.T) {
 	w := NewWriter(16)
 	w.U64(1 << 60) // claims ~10^18 elements

@@ -135,7 +135,21 @@ func (r *Reader) I32() int32 { return int32(r.U32()) }
 func (r *Reader) F64() float64 {
 	return math.Float64frombits(r.U64())
 }
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+
+// Bool decodes a Writer.Bool. Only 0 and 1 are booleans: any other byte
+// is a decode error, so every accepted payload re-encodes to itself.
+func (r *Reader) Bool() bool {
+	switch r.U8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	if r.err == nil {
+		r.err = fmt.Errorf("artifact: non-boolean byte at offset %d", r.off-1)
+	}
+	return false
+}
 
 // Str decodes a length-prefixed string.
 func (r *Reader) Str() string {

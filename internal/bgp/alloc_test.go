@@ -55,3 +55,41 @@ func TestProviderRouteAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteMemoFillAllocations: once a resolver's memo exists, filling it
+// allocates nothing beyond each route's Waypoints, and a hit allocates
+// nothing.
+func TestRouteMemoFillAllocations(t *testing.T) {
+	g := buildWorld(t, 4)
+	sites := deploySites(g, 12, 0.3)
+	srcs := g.Eyeballs()
+	// Resolving everything once builds the graph's lazy per-AS presence
+	// indexes, which are not the memo's to pay for.
+	warm, err := NewResolver(g, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Warm(srcs)
+	r, err := NewResolver(g, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.EnsureTables()
+	r.Route(srcs[0]) // allocates the memo
+	// Every call fills a different cold slot (AllocsPerRun makes one
+	// warm-up call, then runs more).
+	next := 0
+	if fills := testing.AllocsPerRun(len(srcs)-2, func() {
+		next++
+		r.Route(srcs[next])
+	}); fills > 1 {
+		t.Errorf("a memo fill allocates %v times, want at most 1 (its Waypoints)", fills)
+	}
+	if hits := testing.AllocsPerRun(5, func() {
+		for _, s := range srcs {
+			r.Route(s)
+		}
+	}); hits != 0 {
+		t.Errorf("memo hits allocate %v times per pass", hits)
+	}
+}

@@ -23,8 +23,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"anycastctx/internal/geo"
@@ -96,28 +98,55 @@ func (r Route) Dist() float64 {
 	return d
 }
 
-// routeCacheShards stripes the route memo so concurrent cache fills from
-// catchment workers contend on different locks (sources hash by ASN).
-const routeCacheShards = 64
-
-// routeCacheShard is one stripe of the per-resolver route memo.
-type routeCacheShard struct {
-	mu sync.RWMutex
-	m  map[topology.ASN]cachedRoute
+// routeSlot is one source's memoized route decision. state moves from
+// slotEmpty through slotFilling to slotFilled exactly once; the other
+// fields are written while filling and read only after a load observes
+// slotFilled, so a hit takes no lock.
+type routeSlot struct {
+	state   atomic.Uint32
+	site    int32
+	pathLen int32
+	via     topology.ASN
+	direct  bool
+	ok      bool
+	wp      []geo.Coord
 }
 
-// cachedRoute is one memoized Route outcome, including the failure case.
-type cachedRoute struct {
-	rt Route
-	ok bool
+const (
+	slotEmpty uint32 = iota
+	slotFilling
+	slotFilled
+)
+
+// route returns the slot's decision. The slot must be filled.
+func (s *routeSlot) route() (Route, bool) {
+	return Route{SiteID: int(s.site), PathLen: int(s.pathLen), Direct: s.direct, Via: s.via, Waypoints: s.wp}, s.ok
+}
+
+// fill stores rt unless another caller filled the slot first, and returns
+// the slot's decision either way: the first fill wins, so every caller
+// shares one Waypoints slice. won reports whether this call filled it.
+func (s *routeSlot) fill(rt Route, ok bool) (_ Route, _ bool, won bool) {
+	if s.state.CompareAndSwap(slotEmpty, slotFilling) {
+		s.site, s.pathLen, s.via = int32(rt.SiteID), int32(rt.PathLen), rt.Via
+		s.direct, s.ok, s.wp = rt.Direct, ok, rt.Waypoints
+		s.state.Store(slotFilled)
+		return rt, ok, true
+	}
+	// The winner is between its two stores: a few field writes.
+	for s.state.Load() != slotFilled {
+		runtime.Gosched()
+	}
+	rt, ok = s.route()
+	return rt, ok, false
 }
 
 // Resolver computes routes from source ASes to one anycast deployment. It
 // precomputes per-transit reachability so per-source resolution is cheap,
 // and memoizes each source's route so the BGP decision (and its Waypoints
 // allocation) runs exactly once per resolver lifetime. The topology and
-// site set are immutable after construction; the internal cache is
-// stripe-locked, so a Resolver is safe for concurrent use.
+// site set are immutable after construction; the memo fills lock-free,
+// so a Resolver is safe for concurrent use.
 type Resolver struct {
 	g     *topology.Graph
 	sites []Site
@@ -131,7 +160,10 @@ type Resolver struct {
 	// membership or any transit↔host adjacency — and callers that mutate
 	// the graph after construction (the scenario engine) pin the tables
 	// at construction time via EnsureTables.
-	transitDist map[topology.ASN][]uint8
+	// Rows are indexed by the transit's dense graph position
+	// (topology.Graph.Index); every other AS has a nil row, and the slice
+	// ends at the last transit or tier-1.
+	transitDist [][]uint8
 	tablesOnce  sync.Once
 
 	// hostSlot[siteID] is the site's host's slot in resolveRoute's
@@ -154,7 +186,13 @@ type Resolver struct {
 	// the letter's resolver is built.
 	presKm [][]float64
 
-	cache [routeCacheShards]routeCacheShard
+	// slots is the route memo: one slot per AS of the graph as it stood
+	// at NewResolver, indexed by dense graph position. It is allocated on
+	// the first route, seed or restore, so a resolver that never routes
+	// pays nothing for it. A source added to the graph later has no slot
+	// and resolves uncached on every call.
+	slots  atomic.Pointer[[]routeSlot]
+	nSlots int
 }
 
 // NewResolver prepares catchment computation for the given sites on g.
@@ -170,7 +208,7 @@ func NewResolver(g *topology.Graph, sites []Site) (*Resolver, error) {
 			return nil, fmt.Errorf("bgp: site %d has ID %d; IDs must be dense and ordered", i, s.ID)
 		}
 	}
-	r := &Resolver{g: g, sites: sites, hostSlot: make([]int32, len(sites))}
+	r := &Resolver{g: g, sites: sites, hostSlot: make([]int32, len(sites)), nSlots: g.Len()}
 	first := make(map[topology.ASN]int, len(sites)) // host → its first site
 	for i, s := range sites {
 		r.hostSlot[i] = -1
@@ -200,33 +238,40 @@ func NewResolver(g *topology.Graph, sites []Site) (*Resolver, error) {
 		}
 		r.presKm[i] = row
 	}
-	for i := range r.cache {
-		r.cache[i].m = make(map[topology.ASN]cachedRoute)
-	}
 	obsResolvers.Inc()
 	return r, nil
 }
 
 // computeTables fills transitDist for every transit and tier-1.
 func (r *Resolver) computeTables() {
-	td := make(map[topology.ASN][]uint8, len(r.g.Transits())+len(r.g.Tier1s()))
 	mids := make([]topology.ASN, 0, len(r.g.Transits())+len(r.g.Tier1s()))
 	mids = append(mids, r.g.Transits()...)
 	mids = append(mids, r.g.Tier1s()...)
+	rows := 0
 	for _, p := range mids {
-		dists := make([]uint8, len(r.sites))
+		rows = max(rows, r.g.Index(p)+1)
+	}
+	td := make([][]uint8, rows)
+	flat := make([]uint8, len(mids)*len(r.sites))
+	for _, p := range mids {
+		dists := flat[:len(r.sites):len(r.sites)]
+		flat = flat[len(r.sites):]
 		for j, s := range r.sites {
 			dists[j] = r.hopsFromTransit(p, s.Host)
 		}
-		td[p] = dists
+		td[r.g.Index(p)] = dists
 	}
 	r.transitDist = td
 }
 
-// tables returns the transit-distance tables, computing them on first use.
-func (r *Resolver) tables() map[topology.ASN][]uint8 {
+// transitRow returns transit p's hop counts to every site (computing the
+// tables on first use), or nil when p is not a transit or tier-1.
+func (r *Resolver) transitRow(p topology.ASN) []uint8 {
 	r.tablesOnce.Do(r.computeTables)
-	return r.transitDist
+	if i := r.g.Index(p); i >= 0 && i < len(r.transitDist) {
+		return r.transitDist[i]
+	}
+	return nil
 }
 
 // EnsureTables forces the transit-distance tables to be computed now,
@@ -234,7 +279,7 @@ func (r *Resolver) tables() map[topology.ASN][]uint8 {
 // deployment construction so later graph mutations in the same spec
 // (e.g. a peering upgrade after an add_site) cannot leak into an
 // earlier deployment's tables.
-func (r *Resolver) EnsureTables() { r.tables() }
+func (r *Resolver) EnsureTables() { r.tablesOnce.Do(r.computeTables) }
 
 // hopsFromTransit returns the valley-free AS-hop count from transit p to
 // host h: 1 if adjacent, 2 via one of h's providers, else 3 through the
@@ -298,31 +343,57 @@ func (r *Resolver) visible(src *topology.AS, s *Site) bool {
 	return r.g.Peered(src.ASN, s.Host)
 }
 
+// slotTable returns the route memo, allocating it on first use.
+func (r *Resolver) slotTable() []routeSlot {
+	if p := r.slots.Load(); p != nil {
+		return *p
+	}
+	t := make([]routeSlot, r.nSlots)
+	if r.slots.CompareAndSwap(nil, &t) {
+		return t
+	}
+	return *r.slots.Load()
+}
+
+// filledSlots returns the route memo, or nil if nothing was ever cached.
+func (r *Resolver) filledSlots() []routeSlot {
+	if p := r.slots.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// slot returns src's memo slot, or nil when src has none (unknown to the
+// graph, or added after NewResolver).
+func (r *Resolver) slot(src topology.ASN) *routeSlot {
+	i := r.g.Index(src)
+	if i < 0 || i >= r.nSlots {
+		return nil
+	}
+	return &r.slotTable()[i]
+}
+
 // Route resolves the catchment decision for source AS src. ok is false if
 // src is unknown or no site is visible. The result is memoized: repeated
 // calls for the same source return the cached Route (including the shared
 // Waypoints slice, which callers must treat as read-only — every caller
 // does, via Route.Dist or direct iteration).
 func (r *Resolver) Route(src topology.ASN) (Route, bool) {
-	sh := &r.cache[uint32(src)%routeCacheShards]
-	sh.mu.RLock()
-	c, hit := sh.m[src]
-	sh.mu.RUnlock()
-	if hit {
-		obsCacheHits.Inc()
-		return c.rt, c.ok
+	s := r.slot(src)
+	if s == nil {
+		obsCacheMisses.Inc()
+		return r.resolveRoute(src)
 	}
-	rt, ok := r.resolveRoute(src)
-	sh.mu.Lock()
-	if c, hit = sh.m[src]; hit {
-		// Lost a concurrent fill race; keep the first entry so every
-		// caller shares one Waypoints slice.
-		sh.mu.Unlock()
+	if s.state.Load() == slotFilled {
 		obsCacheHits.Inc()
-		return c.rt, c.ok
+		return s.route()
 	}
-	sh.m[src] = cachedRoute{rt, ok}
-	sh.mu.Unlock()
+	rt, ok, won := s.fill(r.resolveRoute(src))
+	if !won {
+		// Lost a concurrent fill race to the entry every caller shares.
+		obsCacheHits.Inc()
+		return rt, ok
+	}
 	obsCacheMisses.Inc()
 	obsCacheEntries.Add(1)
 	return rt, ok
@@ -351,25 +422,23 @@ func (r *Resolver) WarmCtx(ctx context.Context, srcs []topology.ASN) {
 }
 
 // ForEachCached calls fn once per memoized route decision, including
-// negative (unreachable) entries. Iteration order is unspecified (it
-// follows the shard maps), so callers must fold results
-// order-independently — the scenario engine builds dirty *sets*, which
-// are. Must not run concurrently with cache fills.
+// negative (unreachable) entries, in ascending ASN order. It may run
+// concurrently with cache fills; a fill still in flight is skipped.
 func (r *Resolver) ForEachCached(fn func(src topology.ASN, rt Route, ok bool)) {
-	for i := range r.cache {
-		sh := &r.cache[i]
-		sh.mu.RLock()
-		for src, c := range sh.m {
-			fn(src, c.rt, c.ok)
+	all, slots := r.g.All(), r.filledSlots()
+	for i := range slots {
+		if s := &slots[i]; s.state.Load() == slotFilled {
+			rt, ok := s.route()
+			fn(all[i], rt, ok)
 		}
-		sh.mu.RUnlock()
 	}
 }
 
 // SeedFrom copies base's memoized decisions into r's cache for every
 // source keep returns true for, translating site IDs through remap
 // (remap[oldID] = newID in r's site set, negative = site withdrawn).
-// A nil remap is the identity; a nil keep keeps everything.
+// A nil remap is the identity; a nil keep keeps everything. A source r
+// already holds, or has no slot for, is not seeded.
 //
 // This is the scenario engine's cache-invalidation primitive: keep
 // encodes the mutation's dirty-set rule, so entries whose decision the
@@ -385,31 +454,25 @@ func (r *Resolver) ForEachCached(fn func(src topology.ASN, rt Route, ok bool)) {
 // everywhere by contract.
 func (r *Resolver) SeedFrom(base *Resolver, remap []int, keep func(src topology.ASN, rt Route, ok bool) bool) int {
 	seeded := 0
-	for i := range base.cache {
-		bsh := &base.cache[i]
-		sh := &r.cache[i] // same shard function on both resolvers
-		bsh.mu.RLock()
-		sh.mu.Lock()
-		for src, c := range bsh.m {
-			if keep != nil && !keep(src, c.rt, c.ok) {
-				continue
-			}
-			e := c
-			if c.ok && remap != nil {
-				if c.rt.SiteID < 0 || c.rt.SiteID >= len(remap) || remap[c.rt.SiteID] < 0 {
-					continue
-				}
-				e.rt.SiteID = remap[c.rt.SiteID]
-			}
-			if e.ok && (e.rt.SiteID < 0 || e.rt.SiteID >= len(r.sites)) {
-				continue
-			}
-			sh.m[src] = e
-			seeded++
+	base.ForEachCached(func(src topology.ASN, rt Route, ok bool) {
+		if keep != nil && !keep(src, rt, ok) {
+			return
 		}
-		sh.mu.Unlock()
-		bsh.mu.RUnlock()
-	}
+		if ok && remap != nil {
+			if rt.SiteID < 0 || rt.SiteID >= len(remap) || remap[rt.SiteID] < 0 {
+				return
+			}
+			rt.SiteID = remap[rt.SiteID]
+		}
+		if ok && (rt.SiteID < 0 || rt.SiteID >= len(r.sites)) {
+			return
+		}
+		if s := r.slot(src); s != nil {
+			if _, _, won := s.fill(rt, ok); won {
+				seeded++
+			}
+		}
+	})
 	obsCacheSeeded.Add(uint64(seeded))
 	obsCacheEntries.Add(float64(seeded))
 	return seeded
@@ -522,10 +585,9 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, bool) {
 	// order achieving it carries the traffic.
 	bestLen := uint8(255)
 	var chosen topology.ASN
-	td := r.tables()
 	for _, p := range S.Providers {
-		dists, ok := td[p]
-		if !ok {
+		dists := r.transitRow(p)
+		if dists == nil {
 			// Provider is not a transit (shouldn't happen); skip.
 			continue
 		}
@@ -561,7 +623,7 @@ func (r *Resolver) routeViaTransit(S *topology.AS, vis []bool, memo []hostMemo, 
 	P := r.g.AS(p)
 	pi, _ := P.NearestPresence(S.Loc)
 	entry := P.Presence[pi]
-	dists := r.tables()[p]
+	dists := r.transitRow(p)
 
 	var candBuf [stackSites]int32
 	candidates := candBuf[:0]
@@ -723,7 +785,7 @@ func (r *Resolver) preferredTier1(p topology.ASN) topology.ASN {
 
 // Catchments resolves routes for every AS in srcs, returning only
 // successful resolutions. Sources are sharded across one worker per CPU
-// into a pre-sized result slice, then merged in input order, so the
+// to fill the route memo, then read back from it in input order, so the
 // returned map is identical to a serial pass.
 func (r *Resolver) Catchments(srcs []topology.ASN) map[topology.ASN]Route {
 	return r.CatchmentsCtx(context.Background(), srcs)
@@ -744,18 +806,27 @@ func (r *Resolver) CatchmentsCtx(ctx context.Context, srcs []topology.ASN) map[t
 		}()
 	}
 	obsCatchBatches.Inc()
-	resolved := make([]cachedRoute, len(srcs))
 	par.DoCtx(ctx, len(srcs), func(ctx context.Context, lo, hi int) {
 		_, sp := obs.StartSpanCtx(ctx, "bgp.catchments.shard")
 		defer sp.End()
-		for i := lo; i < hi; i++ {
-			resolved[i].rt, resolved[i].ok = r.Route(srcs[i])
+		for _, s := range srcs[lo:hi] {
+			if r.slot(s) != nil {
+				r.Route(s)
+			}
 		}
 	})
+	// Every source with a slot is now filled; the rest resolve here.
 	out := make(map[topology.ASN]Route, len(srcs))
-	for i, s := range srcs {
-		if resolved[i].ok {
-			out[s] = resolved[i].rt
+	for _, src := range srcs {
+		var rt Route
+		var ok bool
+		if s := r.slot(src); s != nil {
+			rt, ok = s.route()
+		} else {
+			rt, ok = r.Route(src)
+		}
+		if ok {
+			out[src] = rt
 		}
 	}
 	return out

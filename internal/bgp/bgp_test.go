@@ -94,6 +94,61 @@ func TestRouteUnknownSource(t *testing.T) {
 	}
 }
 
+// TestRouteSourceAddedAfterResolver: an AS added to the graph after
+// NewResolver has no memo slot; it still routes, on every call, exactly as
+// on a resolver built after it was added.
+func TestRouteSourceAddedAfterResolver(t *testing.T) {
+	g := buildWorld(t, 15)
+	sites := deploySites(g, 8, 0.3)
+	r, err := NewResolver(g, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Warm(g.Eyeballs())
+	late := g.AddHostAS("late-source", g.Regions[0].Center, []topology.ASN{g.Transits()[3]}, 0.3)
+	fresh, err := NewResolver(g, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantOK := fresh.Route(late.ASN)
+	if !wantOK {
+		t.Fatal("late AS unreachable on a fresh resolver")
+	}
+	for i := 0; i < 2; i++ {
+		if got, ok := r.Route(late.ASN); !ok || !routesSame(got, want) {
+			t.Fatalf("call %d: late AS routes (%+v, %v), fresh resolver (%+v, true)", i, got, ok, want)
+		}
+	}
+	if got := r.Catchments([]topology.ASN{late.ASN}); !routesSame(got[late.ASN], want) {
+		t.Fatalf("late AS catchment %+v, fresh resolver %+v", got[late.ASN], want)
+	}
+}
+
+// TestForEachCachedASNOrder: the memo is walked in ascending ASN order,
+// whatever order it was filled in.
+func TestForEachCachedASNOrder(t *testing.T) {
+	g := buildWorld(t, 3)
+	r, err := NewResolver(g, deploySites(g, 4, 0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := append([]topology.ASN(nil), g.Eyeballs()...)
+	rand.New(rand.NewSource(1)).Shuffle(len(srcs), func(i, j int) { srcs[i], srcs[j] = srcs[j], srcs[i] })
+	for _, s := range srcs {
+		r.Route(s)
+	}
+	var seen []topology.ASN
+	r.ForEachCached(func(src topology.ASN, _ Route, _ bool) { seen = append(seen, src) })
+	if len(seen) != len(srcs) {
+		t.Fatalf("walked %d entries, cached %d", len(seen), len(srcs))
+	}
+	for i := 1; i < len(seen); i++ {
+		if seen[i] <= seen[i-1] {
+			t.Fatalf("entry %d is AS%d after AS%d", i, seen[i], seen[i-1])
+		}
+	}
+}
+
 func TestRouteDeterministic(t *testing.T) {
 	g := buildWorld(t, 4)
 	sites := deploySites(g, 20, 0.3)

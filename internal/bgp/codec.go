@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
 
 	"anycastctx/internal/artifact"
 	"anycastctx/internal/geo"
@@ -47,50 +46,62 @@ func ReadRoute(r *artifact.Reader) Route {
 }
 
 // AppendState persists the resolver's route state for srcs: the
-// transit-distance tables (ASN-sorted, so the bytes are independent of
-// map iteration order) and one cache entry per source in srcs order,
-// negative (unreachable) entries included. Every source in srcs must
-// already be resolved (Warm the resolver first); missing entries are an
-// error rather than a silent gap, because a partial artifact would make
-// warm runs diverge from cold ones.
+// transit-distance tables (ASN-sorted) and one cache entry per source in
+// srcs order, negative (unreachable) entries included. Every source in
+// srcs must already be resolved (Warm the resolver first); missing
+// entries are an error rather than a silent gap, because a partial
+// artifact would make warm runs diverge from cold ones.
 func (r *Resolver) AppendState(w *artifact.Writer, srcs []topology.ASN) error {
-	td := r.tables()
-	asns := make([]topology.ASN, 0, len(td))
-	for p := range td {
-		asns = append(asns, p)
+	r.EnsureTables()
+	rows := 0
+	for _, dists := range r.transitDist {
+		if dists != nil {
+			rows++
+		}
 	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
 	w.U32(uint32(len(r.sites)))
-	w.U64(uint64(len(asns)))
-	for _, p := range asns {
-		w.I32(int32(p))
-		dists := td[p]
+	w.U64(uint64(rows))
+	// Dense positions follow ASN order, so the rows come out ASN-sorted.
+	all := r.g.All()
+	for i, dists := range r.transitDist {
+		if dists == nil {
+			continue
+		}
+		w.I32(int32(all[i]))
 		for _, d := range dists {
 			w.U8(d)
 		}
 	}
 	w.U64(uint64(len(srcs)))
 	for _, src := range srcs {
-		sh := &r.cache[uint32(src)%routeCacheShards]
-		sh.mu.RLock()
-		c, hit := sh.m[src]
-		sh.mu.RUnlock()
-		if !hit {
+		s := r.slot(src)
+		if s == nil || s.state.Load() != slotFilled {
 			return fmt.Errorf("bgp: AppendState: source AS%d not resolved", src)
 		}
+		rt, ok := s.route()
 		w.I32(int32(src))
-		w.Bool(c.ok)
-		AppendRoute(w, c.rt)
+		w.Bool(ok)
+		AppendRoute(w, rt)
 	}
 	return nil
+}
+
+// restoredRoute is one decoded cache entry, held until the whole payload
+// has validated.
+type restoredRoute struct {
+	src topology.ASN
+	rt  Route
+	ok  bool
 }
 
 // RestoreState seeds the resolver from an AppendState payload: the
 // transit tables are pinned (never recomputed) and every encoded entry
 // lands in the route cache, so downstream route lookups are hits with
 // values identical to a fresh resolution. Restoring into a resolver
-// that has already computed tables or resolved routes is an error — the
-// artifact engine only restores into freshly built resolvers.
+// that has already computed tables is an error — the artifact engine
+// only restores into freshly built resolvers — and so is a table row or
+// source outside the resolver's graph. A payload that fails leaves the
+// resolver untouched.
 func (r *Resolver) RestoreState(rd *artifact.Reader) error {
 	nSites := int(rd.U32())
 	if err := rd.Err(); err != nil {
@@ -104,31 +115,45 @@ func (r *Resolver) RestoreState(rd *artifact.Reader) error {
 	if err := rd.Err(); err != nil {
 		return err
 	}
-	td := make(map[topology.ASN][]uint8, nASN)
+	var td [][]uint8
+	flat := make([]uint8, nASN*nSites)
 	for i := 0; i < nASN; i++ {
 		p := topology.ASN(rd.I32())
-		dists := make([]uint8, nSites)
+		pos := r.g.Index(p)
+		if rd.Err() == nil && pos < 0 {
+			return fmt.Errorf("bgp: RestoreState: transit AS%d not in graph", p)
+		}
+		dists := flat[:nSites:nSites]
+		flat = flat[nSites:]
 		for j := range dists {
 			dists[j] = rd.U8()
 		}
-		td[p] = dists
+		if pos >= len(td) {
+			td = append(td, make([][]uint8, pos+1-len(td))...)
+		}
+		if pos >= 0 {
+			td[pos] = dists
+		}
 	}
 	nSrc := rd.Count(4 + 1 + MinRouteSize)
 	if err := rd.Err(); err != nil {
 		return err
 	}
-	entries := make(map[topology.ASN]cachedRoute, nSrc)
-	for i := 0; i < nSrc; i++ {
-		src := topology.ASN(rd.I32())
-		ok := rd.Bool()
-		rt := ReadRoute(rd)
-		if ok && (rt.SiteID < 0 || rt.SiteID >= nSites) {
-			return fmt.Errorf("bgp: RestoreState: route for AS%d names site %d of %d", src, rt.SiteID, nSites)
+	entries := make([]restoredRoute, nSrc)
+	for i := range entries {
+		e := &entries[i]
+		e.src = topology.ASN(rd.I32())
+		e.ok = rd.Bool()
+		e.rt = ReadRoute(rd)
+		if err := rd.Err(); err != nil {
+			return err
 		}
-		entries[src] = cachedRoute{rt, ok}
-	}
-	if err := rd.Err(); err != nil {
-		return err
+		if e.ok && (e.rt.SiteID < 0 || e.rt.SiteID >= nSites) {
+			return fmt.Errorf("bgp: RestoreState: route for AS%d names site %d of %d", e.src, e.rt.SiteID, nSites)
+		}
+		if pos := r.g.Index(e.src); pos < 0 || pos >= r.nSlots {
+			return fmt.Errorf("bgp: RestoreState: source AS%d outside the resolver's graph", e.src)
+		}
 	}
 	seeded := false
 	r.tablesOnce.Do(func() {
@@ -139,14 +164,10 @@ func (r *Resolver) RestoreState(rd *artifact.Reader) error {
 		return fmt.Errorf("bgp: RestoreState: resolver already has transit tables")
 	}
 	n := 0
-	for src, c := range entries {
-		sh := &r.cache[uint32(src)%routeCacheShards]
-		sh.mu.Lock()
-		if _, dup := sh.m[src]; !dup {
-			sh.m[src] = c
+	for _, e := range entries {
+		if _, _, won := r.slot(e.src).fill(e.rt, e.ok); won {
 			n++
 		}
-		sh.mu.Unlock()
 	}
 	obsCacheSeeded.Add(uint64(n))
 	obsCacheEntries.Add(float64(n))

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"anycastctx/internal/geo"
 	"anycastctx/internal/topology"
 )
 
@@ -59,6 +60,44 @@ func TestRouteConcurrentCacheFill(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+}
+
+// TestRouteConcurrentFillSharesWaypoints: goroutines released together
+// fill the same cold sources at once; the first fill wins, so every
+// goroutine gets the one Waypoints backing array the memo holds.
+func TestRouteConcurrentFillSharesWaypoints(t *testing.T) {
+	g := buildWorld(t, 14)
+	r, err := NewResolver(g, deploySites(g, 12, 0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := g.Eyeballs()[:64]
+	const goroutines = 8
+	got := make([][]*geo.Coord, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for k := range got {
+		got[k] = make([]*geo.Coord, len(srcs))
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			<-start
+			for i, s := range srcs {
+				if rt, ok := r.Route(s); ok {
+					got[k][i] = &rt.Waypoints[0]
+				}
+			}
+		}(k)
+	}
+	close(start)
+	wg.Wait()
+	for i, s := range srcs {
+		for k := 1; k < goroutines; k++ {
+			if got[k][i] != got[0][i] {
+				t.Fatalf("AS%d: goroutines 0 and %d hold different Waypoints arrays", s, k)
+			}
+		}
+	}
 }
 
 // TestCatchmentsConcurrent runs overlapping Catchments batches on one

@@ -47,10 +47,9 @@ func (r *Resolver) referenceRoute(src topology.ASN) (Route, bool) {
 	}
 	var opts []provOption
 	bestLen := uint8(255)
-	td := r.tables()
 	for _, p := range S.Providers {
-		dists, ok := td[p]
-		if !ok {
+		dists := r.transitRow(p)
+		if dists == nil {
 			continue
 		}
 		md := uint8(255)
@@ -93,7 +92,7 @@ func nearestPoint(a *topology.AS, c geo.Coord) (geo.Coord, float64) {
 // referenceRoute).
 func (r *Resolver) referenceViaTransit(S *topology.AS, p topology.ASN, d uint8) Route {
 	entry, _ := nearestPoint(r.g.AS(p), S.Loc)
-	dists := r.tables()[p]
+	dists := r.transitRow(p)
 
 	candidates := make([]Site, 0, len(r.sites))
 	for _, s := range r.sites {

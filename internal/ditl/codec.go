@@ -2,6 +2,7 @@ package ditl
 
 import (
 	"fmt"
+	"math"
 
 	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/artifact"
@@ -54,8 +55,9 @@ func (c *Campaign) EncodeArtifact() []byte {
 // DecodeCampaignArtifact rebuilds a campaign from an EncodeArtifact
 // payload plus the live upstream inputs it references. It validates the
 // payload's shape against those inputs (recursive count, letter names,
-// column lengths), so loading a stale or mismatched artifact fails
-// loudly instead of producing a silently wrong campaign. The caller sets
+// column lengths) and the store's integrity (IntegrityViolations), so
+// loading a stale, mismatched or corrupt artifact fails loudly instead
+// of producing a silently wrong campaign. The caller sets
 // Faults afterwards (it never changes campaign bytes). Unlike Build,
 // decoding allocates nothing from pop.Pool: junk /24 blocks are already
 // baked into JunkSources, and nothing downstream reads pool state.
@@ -139,10 +141,8 @@ func DecodeCampaignArtifact(blob []byte, letters []*anycastnet.Deployment, pop *
 	if c.numRecs > 0 && int(c.egressOff[c.numRecs]) != nEgress {
 		return nil, fmt.Errorf("ditl: decode: egress store length %d, offsets end at %d", nEgress, c.egressOff[c.numRecs])
 	}
-	for _, ix := range c.routeIdx {
-		if ix != noRoute && int(ix) >= nRoutes {
-			return nil, fmt.Errorf("ditl: decode: route index %d out of range (table has %d)", ix, nRoutes)
-		}
+	if vs := c.IntegrityViolations(); len(vs) > 0 {
+		return nil, fmt.Errorf("ditl: decode: %s", vs[0])
 	}
 	obsCampaigns.Inc()
 	obsAssignments.Add(uint64(cols))
@@ -165,7 +165,9 @@ func EncodeJoin(j *Join) []byte {
 	return w.Bytes()
 }
 
-// DecodeJoin rebuilds a join from an EncodeJoin payload.
+// DecodeJoin rebuilds a join from an EncodeJoin payload. Rows must come
+// in strictly increasing recursive order, as JoinCDN emits them, with
+// finite non-negative volumes and user counts.
 func DecodeJoin(blob []byte) (*Join, error) {
 	r := artifact.NewReader(blob)
 	j := &Join{ByIP: r.Bool()}
@@ -187,6 +189,16 @@ func DecodeJoin(blob []byte) (*Join, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
+	prev := -1
+	for i, row := range j.Rows {
+		if row.RecIdx <= prev {
+			return nil, fmt.Errorf("ditl: decode join: row %d recursive %d not after %d", i, row.RecIdx, prev)
+		}
+		prev = row.RecIdx
+		if !finiteNonNeg(row.QueriesPerDay) || !finiteNonNeg(row.Users) {
+			return nil, fmt.Errorf("ditl: decode join: row %d has volume %v, users %v", i, row.QueriesPerDay, row.Users)
+		}
+	}
 	obsJoins.Inc()
 	obsJoinRows.Add(uint64(len(j.Rows)))
 	for _, row := range j.Rows {
@@ -194,3 +206,6 @@ func DecodeJoin(blob []byte) (*Join, error) {
 	}
 	return j, nil
 }
+
+// finiteNonNeg reports whether v is a finite number >= 0.
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }

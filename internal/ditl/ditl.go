@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/bgp"
@@ -219,6 +220,11 @@ type Campaign struct {
 	routes   []bgp.Route
 	routeRTT []float64
 
+	// srcOnce guards src, the recursives' source-AS numbering, computed on
+	// first use and shared with every campaign rebased from this one.
+	srcOnce sync.Once
+	src     *sourceIndex
+
 	// Egress addresses for all recursives, flattened: recursive ri owns
 	// egressFlat[egressOff[ri]:egressOff[ri+1]].
 	egressFlat []ipaddr.Addr
@@ -306,10 +312,10 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 	// one AS share routes, and each (letter, AS) route is computed exactly
 	// once in the resolver's memo, so the assembly fan-out below only ever
 	// hits warm caches.
-	srcs := UniqueSources(pop)
+	src := c.sources()
 	warmCtx, warm := obs.StartSpanCtx(ctx, "ditl.warm_routes")
 	for _, l := range letters {
-		l.WarmRoutesCtx(warmCtx, srcs)
+		l.WarmRoutesCtx(warmCtx, src.asns)
 	}
 	warm.End()
 
@@ -328,7 +334,7 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 	// Route dedup tables, built serially per ⟨letter, AS⟩ in
 	// first-appearance AS order: every recursive in an AS shares one
 	// entry per letter, so the parallel pass below only reads them.
-	routeIx, err := c.buildRouteTables(srcs)
+	routeIx, err := c.buildRouteTables(nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -385,24 +391,76 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 // first-appearance order — the deterministic ordering the route dedup
 // tables key on.
 func UniqueSources(pop *users.Population) []topology.ASN {
-	srcs := make([]topology.ASN, 0, len(pop.Recursives))
-	seen := make(map[topology.ASN]bool, len(pop.Recursives))
-	for ri := range pop.Recursives {
-		if asn := pop.Recursives[ri].ASN; !seen[asn] {
-			seen[asn] = true
-			srcs = append(srcs, asn)
-		}
-	}
-	return srcs
+	return indexSources(pop).asns
 }
 
-// buildRouteTables fills the per-⟨letter, AS⟩ dedup tables serially in
-// srcs order. Route caches should be warm; misses resolve inline.
-func (c *Campaign) buildRouteTables(srcs []topology.ASN) ([]map[topology.ASN]uint32, error) {
-	routeIx := make([]map[topology.ASN]uint32, len(c.Letters))
+// sourceIndex numbers the recursives' source ASes: asns lists them in
+// UniqueSources order, pos[ri] is recursive ri's AS's position in asns
+// and first[s] is the first recursive in source s. The route index is
+// laid out on positions: entry li*len(asns)+s is letter li's table entry
+// for source s.
+type sourceIndex struct {
+	asns  []topology.ASN
+	pos   []uint32
+	first []uint32
+}
+
+func indexSources(pop *users.Population) *sourceIndex {
+	n := len(pop.Recursives)
+	si := &sourceIndex{asns: make([]topology.ASN, 0, n), pos: make([]uint32, n)}
+	seen := make(map[topology.ASN]uint32, n)
+	for ri := range pop.Recursives {
+		asn := pop.Recursives[ri].ASN
+		s, ok := seen[asn]
+		if !ok {
+			s = uint32(len(si.asns))
+			seen[asn] = s
+			si.asns = append(si.asns, asn)
+			si.first = append(si.first, uint32(ri))
+		}
+		si.pos[ri] = s
+	}
+	return si
+}
+
+// sources returns the campaign's source numbering, computing it once.
+func (c *Campaign) sources() *sourceIndex {
+	c.srcOnce.Do(func() {
+		if c.src == nil {
+			c.src = indexSources(c.Pop)
+		}
+	})
+	return c.src
+}
+
+// buildRouteTables fills the per-⟨letter, AS⟩ dedup tables serially,
+// letter by letter in source order, and returns the flat route index
+// (noRoute = unreachable). A letter with donors[li] >= 0 copies base's
+// entries for letter donors[li] (its deployment answers the same routes)
+// and never touches its resolver; every other letter resolves, hitting
+// warm caches where it can. A nil donors resolves every letter.
+func (c *Campaign) buildRouteTables(base *Campaign, donors []int) ([]uint32, error) {
+	src := c.sources()
+	ns := len(src.asns)
+	routeIx := make([]uint32, len(c.Letters)*ns)
 	for li := range c.Letters {
-		routeIx[li] = make(map[topology.ASN]uint32, len(srcs))
-		for _, asn := range srcs {
+		row := routeIx[li*ns : (li+1)*ns]
+		if donors != nil && donors[li] >= 0 {
+			col := base.routeIdx[donors[li]*base.numRecs:]
+			for s, ri := range src.first {
+				row[s] = noRoute
+				if bix := col[ri]; bix != noRoute {
+					ix, err := c.appendRoute(base.routes[bix], base.routeRTT[bix])
+					if err != nil {
+						return nil, err
+					}
+					row[s] = ix
+				}
+			}
+			continue
+		}
+		for s, asn := range src.asns {
+			row[s] = noRoute
 			rt, ok := c.Letters[li].Route(asn)
 			if !ok {
 				continue
@@ -411,7 +469,7 @@ func (c *Campaign) buildRouteTables(srcs []topology.ASN) ([]map[topology.ASN]uin
 			if err != nil {
 				return nil, err
 			}
-			routeIx[li][asn] = ix
+			row[s] = ix
 		}
 	}
 	return routeIx, nil
@@ -424,7 +482,7 @@ func (c *Campaign) buildRouteTables(srcs []topology.ASN) ([]map[topology.ASN]uin
 // byte-identical to a full pass.
 type assembler struct {
 	c       *Campaign
-	routeIx []map[topology.ASN]uint32
+	routeIx []uint32 // see buildRouteTables
 	seed    int64
 	// fillEgress is false when Rebase shares the base campaign's egress
 	// store (rates unchanged ⇒ egress identical), in which case the
@@ -441,12 +499,14 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 	siteStream := rng.Split(as.seed, rng.PhaseDITLSites, uint64(ri))
 	prefStream := rng.Split(as.seed, rng.PhaseDITLPref, uint64(ri))
 	tcpStream := rng.Split(as.seed, rng.PhaseDITLTCP, uint64(ri))
+	src := c.sources()
+	s, ns := int(src.pos[ri]), len(src.asns)
 	for li := range c.Letters {
 		k := li*n + ri
 		c.routeIdx[k] = noRoute
 		c.altSite[k] = noAltSite
-		rix, ok := as.routeIx[li][rec.ASN]
-		if !ok {
+		rix := as.routeIx[li*ns+s]
+		if rix == noRoute {
 			rtts[li] = math.Inf(1)
 			continue
 		}

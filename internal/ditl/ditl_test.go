@@ -27,13 +27,33 @@ type fixture struct {
 
 func buildFixture(t testing.TB) *fixture {
 	t.Helper()
+	return buildFixtureWith(t, fixtureShape{})
+}
+
+// fixtureShape varies buildFixtureWith's world. The zero value is
+// buildFixture's.
+type fixtureShape struct {
+	// eyeballs and users size the world (0 = 400 eyeballs, 5e8 users).
+	eyeballs int
+	users    float64
+	// arrange, if set, picks the letters the campaign is assembled over
+	// from the letters as built.
+	arrange func(g *topology.Graph, letters []*anycastnet.Deployment) []*anycastnet.Deployment
+}
+
+// buildFixtureWith builds the fixture in the given shape.
+func buildFixtureWith(t testing.TB, shape fixtureShape) *fixture {
+	t.Helper()
+	if shape.eyeballs == 0 {
+		shape.eyeballs, shape.users = 400, 5e8
+	}
 	regions := geo.GenerateRegions(geo.PaperRegionCounts, rand.New(rand.NewSource(42)))
-	g, err := topology.New(topology.Config{Seed: 4, NumTier1: 6, NumTransit: 40, NumEyeball: 400}, regions)
+	g, err := topology.New(topology.Config{Seed: 4, NumTier1: 6, NumTransit: 40, NumEyeball: shape.eyeballs}, regions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	pop, err := users.Build(g, users.Config{TotalUsers: 5e8}, 5)
+	pop, err := users.Build(g, users.Config{TotalUsers: shape.users}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +67,9 @@ func buildFixture(t testing.TB) *fixture {
 	letters, err := anycastnet.BuildLetters(g, specs, rng)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if shape.arrange != nil {
+		letters = shape.arrange(g, letters)
 	}
 	camp, err := Build(context.Background(), g, letters, pop, zone, rates, latency.DefaultModel(), Config{}, 5)
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 
 // IntegrityViolations validates the compact assignment store's internal
 // structure — the parts no public accessor can reach: column lengths,
-// route-index bounds, secondary-site sanity, and the egress flat-store
-// offsets. It returns one message per violated invariant (empty when the
+// route-index and route-site bounds, secondary-site sanity, and the
+// egress flat-store offsets. It returns one message per violated invariant (empty when the
 // store is sound). The invariant checker (internal/check) folds these
 // into the pipeline-wide check run; everything observable through At and
 // Egress is cross-checked there against slow oracles instead.
@@ -65,6 +65,11 @@ func (c *Campaign) IntegrityViolations() []string {
 			addf("routeIdx[letter %d, recursive %d] = %d out of range (%d routes)",
 				li, ri, rix, len(c.routes))
 			continue
+		}
+		if rix != noRoute {
+			if s := c.routes[rix].SiteID; s < 0 || s >= len(c.Letters[li].Sites) {
+				addf("route of [letter %d, recursive %d] names site %d of %d", li, ri, s, len(c.Letters[li].Sites))
+			}
 		}
 		alt := c.altSite[k]
 		if alt == noAltSite {

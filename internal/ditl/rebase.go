@@ -5,11 +5,11 @@ import (
 	"fmt"
 
 	"anycastctx/internal/anycastnet"
+	"anycastctx/internal/bgp"
 	"anycastctx/internal/dnssim"
 	"anycastctx/internal/ipaddr"
 	"anycastctx/internal/obs"
 	"anycastctx/internal/par"
-	"anycastctx/internal/topology"
 )
 
 var (
@@ -74,18 +74,24 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 	for _, l := range letters {
 		c.LetterNames = append(c.LetterNames, l.Name)
 	}
+	c.src = base.sources()
 
-	// Warm every letter's route cache across all CPUs. Seeded entries
-	// make this a read-through; only the dirty set actually resolves.
-	srcs := UniqueSources(base.Pop)
+	// Warm the route cache of every letter that must resolve, across all
+	// CPUs. Seeded entries make this a read-through; only the dirty set
+	// actually resolves. Letters with a donor copy base's table instead.
+	donors := base.tableDonors(letters, siteRemap)
 	warmCtx, warm := obs.StartSpanCtx(ctx, "ditl.warm_routes")
-	for _, l := range letters {
-		l.WarmRoutesCtx(warmCtx, srcs)
+	for li, l := range letters {
+		if donors[li] < 0 {
+			l.WarmRoutesCtx(warmCtx, c.src.asns)
+		}
 	}
 	warm.End()
 
 	_, tables := obs.StartSpanCtx(ctx, "ditl.rebase.tables")
-	routeIx, err := c.buildRouteTables(srcs)
+	c.routes = make([]bgp.Route, 0, len(base.routes))
+	c.routeRTT = make([]float64, 0, len(base.routeRTT))
+	routeIx, err := c.buildRouteTables(base, donors)
 	tables.End()
 	if err != nil {
 		return nil, err
@@ -149,6 +155,29 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 	return c, nil
 }
 
+// tableDonors returns, per rebased letter, the base letter whose route
+// table it can copy, or -1 when it must resolve. A letter has a donor when
+// its deployment shares that base letter's resolver (the letter itself
+// unchanged, or a swapped-in letter under anycastnet.Renamed) and it has
+// no site remap: its routes, and so its ⟨route, RTT⟩ entries in source
+// order, are then exactly the donor's.
+func (base *Campaign) tableDonors(letters []*anycastnet.Deployment, siteRemap [][]int) []int {
+	donors := make([]int, len(letters))
+	for li, l := range letters {
+		donors[li] = -1
+		if siteRemap != nil && siteRemap[li] != nil {
+			continue
+		}
+		for lj, b := range base.Letters {
+			if l.SharesResolver(b) {
+				donors[li] = lj
+				break
+			}
+		}
+	}
+	return donors
+}
+
 // carryRecursive copies recursive ri's cells from base, remapping route
 // table indices (the rebuilt dedup tables renumber entries) and
 // secondary-site IDs (mutations renumber sites). It errors when the copy
@@ -156,26 +185,27 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 // reachability flipped, whose secondary site was withdrawn, or whose
 // egress count changed was mis-classified upstream and would otherwise
 // silently carry stale cells.
-func (c *Campaign) carryRecursive(base *Campaign, ri int, routeIx []map[topology.ASN]uint32,
+func (c *Campaign) carryRecursive(base *Campaign, ri int, routeIx []uint32,
 	siteRemap [][]int, copyEgress bool) error {
 	n := c.numRecs
 	asn := c.Pop.Recursives[ri].ASN
+	s, ns := int(c.src.pos[ri]), len(c.src.asns)
 	for li := range c.Letters {
 		k := li*n + ri
 		c.altFrac[k] = base.altFrac[k]
 		c.tcpMedian[k] = base.tcpMedian[k]
 		c.letterWeight[k] = base.letterWeight[k]
+		nix := routeIx[li*ns+s]
 		if base.routeIdx[k] == noRoute {
 			c.routeIdx[k] = noRoute
 			c.altSite[k] = noAltSite
-			if _, ok := routeIx[li][asn]; ok {
+			if nix != noRoute {
 				return fmt.Errorf("ditl: rebase: AS%d became reachable on %s but recursive %d was not marked affected",
 					asn, c.LetterNames[li], ri)
 			}
 			continue
 		}
-		nix, ok := routeIx[li][asn]
-		if !ok {
+		if nix == noRoute {
 			return fmt.Errorf("ditl: rebase: AS%d lost its route on %s but recursive %d was not marked affected",
 				asn, c.LetterNames[li], ri)
 		}

@@ -1,11 +1,14 @@
 package ditl
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
 
 	"anycastctx/internal/anycastnet"
+	"anycastctx/internal/obs"
+	"anycastctx/internal/topology"
 )
 
 // freshLetters rebuilds every deployment of f with an empty route cache,
@@ -106,6 +109,87 @@ func TestRebaseNoneAffectedCopies(t *testing.T) {
 	requireSameCampaign(t, f.camp, reb)
 	if &reb.routes[0] == &f.camp.routes[0] {
 		t.Fatalf("rebase aliased the base route table")
+	}
+}
+
+// routeCalls counts Resolver.Route calls (memo hits plus misses) made
+// while fn runs.
+func routeCalls(fn func()) uint64 {
+	before := obs.Default.Snapshot()
+	fn()
+	d := obs.Default.Snapshot().CounterDeltas(before)
+	return d["bgp.route_cache_hits"] + d["bgp.route_cache_misses"]
+}
+
+// TestRebaseUnchangedLettersCopyTables: when every letter keeps base's
+// resolver, Rebase copies each letter's route table without a single
+// Route call, and the result encodes byte for byte like the base build —
+// whether nothing or everything is reassembled.
+func TestRebaseUnchangedLettersCopyTables(t *testing.T) {
+	f := buildFixture(t)
+	want := f.camp.EncodeArtifact()
+	for _, all := range []bool{false, true} {
+		affected := make([]bool, len(f.pop.Recursives))
+		for i := range affected {
+			affected[i] = all
+		}
+		var reb *Campaign
+		var err error
+		calls := routeCalls(func() {
+			reb, err = f.camp.Rebase(context.Background(), f.letters, nil, nil, affected, 5)
+		})
+		if err != nil {
+			t.Fatalf("all affected=%v: rebase: %v", all, err)
+		}
+		if calls != 0 {
+			t.Errorf("all affected=%v: rebase made %d Route calls, want 0", all, calls)
+		}
+		if !bytes.Equal(reb.EncodeArtifact(), want) {
+			t.Errorf("all affected=%v: rebased campaign encodes differently from the build", all)
+		}
+	}
+}
+
+// TestRebaseSwapMatchesBuild: swapping letters B and K (each position
+// takes the other's deployment under its own name, as the swap_letters
+// scenario does) copies both tables from base without routing, and
+// encodes byte for byte like a campaign built from scratch on the
+// swapped letters.
+func TestRebaseSwapMatchesBuild(t *testing.T) {
+	f := buildFixture(t)
+	full := buildFixtureWith(t, fixtureShape{arrange: func(g *topology.Graph, ls []*anycastnet.Deployment) []*anycastnet.Deployment {
+		b, err := anycastnet.NewDeployment(g, ls[0].Name, ls[2].Sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := anycastnet.NewDeployment(g, ls[2].Name, ls[0].Sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*anycastnet.Deployment{b, ls[1], k}
+	}})
+	letters := []*anycastnet.Deployment{
+		anycastnet.Renamed(f.letters[2], f.letters[0].Name),
+		f.letters[1],
+		anycastnet.Renamed(f.letters[0], f.letters[2].Name),
+	}
+	affected := make([]bool, len(f.pop.Recursives))
+	for i := range affected {
+		affected[i] = true
+	}
+	var reb *Campaign
+	var err error
+	calls := routeCalls(func() {
+		reb, err = f.camp.Rebase(context.Background(), letters, nil, nil, affected, 5)
+	})
+	if err != nil {
+		t.Fatalf("rebase: %v", err)
+	}
+	if calls != 0 {
+		t.Errorf("swap rebase made %d Route calls, want 0", calls)
+	}
+	if !bytes.Equal(reb.EncodeArtifact(), full.camp.EncodeArtifact()) {
+		t.Fatal("swapped rebase encodes differently from a full build on the swapped letters")
 	}
 }
 

@@ -113,13 +113,23 @@ func (m *Model) Sample(rng Sampler, base float64) float64 {
 	return v
 }
 
+// medianStack bounds the sample counts MedianOfSamples sorts on the stack.
+const medianStack = 16
+
 // MedianOfSamples draws n samples and returns their median — how the
 // paper estimates per-⟨root, resolver, site⟩ latency from TCP handshakes.
+// It allocates nothing for n up to medianStack.
 func (m *Model) MedianOfSamples(rng Sampler, base float64, n int) float64 {
 	if n <= 0 {
 		return base
 	}
-	samples := make([]float64, n)
+	var buf [medianStack]float64
+	var samples []float64
+	if n <= len(buf) {
+		samples = buf[:n]
+	} else {
+		samples = make([]float64, n)
+	}
 	for i := range samples {
 		samples[i] = m.Sample(rng, base)
 	}

@@ -3,10 +3,12 @@ package latency
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"anycastctx/internal/bgp"
 	"anycastctx/internal/geo"
+	"anycastctx/internal/rng"
 	"anycastctx/internal/topology"
 )
 
@@ -147,6 +149,42 @@ func TestMedianOfSamplesConverges(t *testing.T) {
 	// Even n path.
 	if got := m.MedianOfSamples(rng, base, 10); got <= 0 {
 		t.Errorf("even-n median = %v", got)
+	}
+}
+
+// TestMedianOfSamplesMatchesSortedDraws: at every n, on either side of
+// the stack buffer's bound, the median is the middle of the same draws
+// fully sorted.
+func TestMedianOfSamplesMatchesSortedDraws(t *testing.T) {
+	m := DefaultModel()
+	for n := 1; n <= 2*medianStack; n++ {
+		st := rng.Split(9, rng.PhaseDITLTCP, uint64(n))
+		ref := st
+		draws := make([]float64, n)
+		for i := range draws {
+			draws[i] = m.Sample(&ref, 40)
+		}
+		sort.Float64s(draws)
+		want := draws[n/2]
+		if n%2 == 0 {
+			want = (draws[n/2-1] + draws[n/2]) / 2
+		}
+		if got := m.MedianOfSamples(&st, 40, n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d: median %v, sorted draws give %v", n, got, want)
+		}
+	}
+}
+
+// TestMedianOfSamplesAllocations: the per-⟨recursive, letter⟩ TCP median
+// (n = 11) sorts on the stack.
+func TestMedianOfSamplesAllocations(t *testing.T) {
+	m := DefaultModel()
+	st := rng.Split(9, rng.PhaseDITLTCP, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		m.MedianOfSamples(&st, 40, 11)
+	})
+	if allocs != 0 {
+		t.Errorf("MedianOfSamples(n=11) allocates %v times per call, want 0", allocs)
 	}
 }
 

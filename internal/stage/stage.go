@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -105,32 +106,36 @@ var all = []Info{
 }
 
 var byID = func() map[ID]Info {
-	m := make(map[ID]Info, len(all))
-	for _, in := range all {
-		for _, d := range in.Deps {
-			if _, ok := m[d]; !ok {
-				panic(fmt.Sprintf("stage: %s depends on %s, which is not declared earlier (cycle or typo)", in.ID, d))
-			}
-		}
-		for _, d := range in.LoadDeps {
-			found := false
-			for _, dd := range in.Deps {
-				if d == dd {
-					found = true
-					break
-				}
-			}
-			if !found {
-				panic(fmt.Sprintf("stage: %s load-dep %s is not one of its deps", in.ID, d))
-			}
-		}
-		if _, dup := m[in.ID]; dup {
-			panic(fmt.Sprintf("stage: %s declared twice", in.ID))
-		}
-		m[in.ID] = in
+	m, err := index(all)
+	if err != nil {
+		panic(err)
 	}
 	return m
 }()
+
+// index validates a stage list as a DAG in topological order — every
+// dep declared earlier, every load-dep one of the stage's deps, no ID
+// twice — and indexes it by ID.
+func index(infos []Info) (map[ID]Info, error) {
+	m := make(map[ID]Info, len(infos))
+	for _, in := range infos {
+		for _, d := range in.Deps {
+			if _, ok := m[d]; !ok {
+				return nil, fmt.Errorf("stage: %s depends on %s, which is not declared earlier (cycle or typo)", in.ID, d)
+			}
+		}
+		for _, d := range in.LoadDeps {
+			if !slices.Contains(in.Deps, d) {
+				return nil, fmt.Errorf("stage: %s load-dep %s is not one of its deps", in.ID, d)
+			}
+		}
+		if _, dup := m[in.ID]; dup {
+			return nil, fmt.Errorf("stage: %s declared twice", in.ID)
+		}
+		m[in.ID] = in
+	}
+	return m, nil
+}
 
 // All returns every stage in topological order (deps strictly before
 // dependents).
@@ -188,9 +193,12 @@ func Closure(ids ...ID) []ID {
 // Keys derives every stage's content-addressed artifact key from the
 // configuration hash: key = H(id, version, cfgHash, dep keys...), folded
 // in topological order so an upstream change reaches every dependent.
-func Keys(cfgHash string) map[ID]string {
-	keys := make(map[ID]string, len(all))
-	for _, in := range all {
+func Keys(cfgHash string) map[ID]string { return keys(all, cfgHash) }
+
+// keys is Keys over a given topologically ordered stage list.
+func keys(infos []Info, cfgHash string) map[ID]string {
+	out := make(map[ID]string, len(infos))
+	for _, in := range infos {
 		h := sha256.New()
 		h.Write([]byte("anycastctx/stage\x00"))
 		h.Write([]byte(in.ID))
@@ -200,9 +208,9 @@ func Keys(cfgHash string) map[ID]string {
 		h.Write([]byte(cfgHash))
 		for _, d := range in.Deps {
 			h.Write([]byte{0})
-			h.Write([]byte(keys[d]))
+			h.Write([]byte(out[d]))
 		}
-		keys[in.ID] = hex.EncodeToString(h.Sum(nil))
+		out[in.ID] = hex.EncodeToString(h.Sum(nil))
 	}
-	return keys
+	return out
 }

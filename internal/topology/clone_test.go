@@ -71,3 +71,28 @@ func TestCloneDeterministicASNs(t *testing.T) {
 		t.Errorf("region inference diverged: %d vs %d", hb.Region, hc.Region)
 	}
 }
+
+// TestIndexDense: Index is each AS's place in All, -1 off the graph, and
+// a clone keeps every position and numbers its additions next.
+func TestIndexDense(t *testing.T) {
+	g, err := New(smallConfig(), testRegions(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, asn := range g.All() {
+		if got := g.Index(asn); got != i {
+			t.Fatalf("Index(AS%d) = %d, want %d", asn, got, i)
+		}
+	}
+	c := g.Clone()
+	h := c.AddHostAS("clone-host", geo.Coord{Lat: 1, Lon: 2}, []ASN{c.Transits()[0]}, 0.4)
+	if got := c.Index(h.ASN); got != g.Len() {
+		t.Errorf("clone's new AS at %d, want %d", got, g.Len())
+	}
+	if got := g.Index(h.ASN); got != -1 {
+		t.Errorf("base indexes the clone's AS at %d", got)
+	}
+	if g.Index(0) != -1 || g.Index(ASN(1<<30)) != -1 {
+		t.Error("an ASN off the graph has a position")
+	}
+}

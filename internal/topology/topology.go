@@ -443,6 +443,17 @@ func (g *Graph) AS(n ASN) *AS {
 	return nil
 }
 
+// Index returns n's dense position in the graph — its place in creation
+// order, so All()[Index(n)] == n — or -1 when n is not in the graph.
+// Positions never move: an AS added later takes the next one, and a
+// clone keeps every position. Per-AS tables index slices by it.
+func (g *Graph) Index(n ASN) int {
+	if i := int(n) - firstASN; i >= 0 && i < len(g.ases) {
+		return i
+	}
+	return -1
+}
+
 // Tier1s returns the tier-1 ASNs in creation order.
 func (g *Graph) Tier1s() []ASN { return g.tier1s }
 
