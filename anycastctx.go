@@ -8,20 +8,18 @@
 //
 // Typical use:
 //
-//	w, err := anycastctx.BuildWorld(anycastctx.Config{Seed: 1})
+//	w, err := anycastctx.NewWorld(anycastctx.Config{Seed: 1})
 //	...
-//	res, err := anycastctx.RunExperiment(w, "fig2a")
+//	res, err := anycastctx.RunExperimentCtx(context.Background(), w, "fig2a")
 //	fmt.Println(res.Output)
+//
+// The world materializes only the stages the experiment declares.
 //
 // Every experiment in the paper's evaluation (Figures 1–14, Tables 1–5,
 // and the appendix studies) has an entry in Experiments().
 package anycastctx
 
-import (
-	"context"
-
-	"anycastctx/internal/world"
-)
+import "anycastctx/internal/world"
 
 // Config configures world construction. It is an alias of the internal
 // composition-root configuration.
@@ -41,22 +39,9 @@ const (
 // opened, and every stage is left pending. Stages materialize on first
 // access — via World.Demand, an experiment's declared Needs, or any
 // accessor — so callers that touch a subset of the world never pay for
-// the rest.
+// the rest. Equal configurations produce byte-identical worlds.
 func NewWorld(cfg Config) (*World, error) {
 	return world.New(cfg)
-}
-
-// BuildWorld constructs the simulated measurement environment. Equal
-// configurations produce byte-identical worlds.
-func BuildWorld(cfg Config) (*World, error) {
-	return world.Build(context.Background(), cfg)
-}
-
-// BuildWorldCtx is BuildWorld with the caller's span context: when tracing
-// is enabled the "world.build" phase tree is parented under the caller's
-// span. The built world is byte-identical to BuildWorld's.
-func BuildWorldCtx(ctx context.Context, cfg Config) (*World, error) {
-	return world.Build(ctx, cfg)
 }
 
 // TestScaleConfig returns a configuration small enough for fast tests and

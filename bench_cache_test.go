@@ -39,7 +39,7 @@ func warmCacheDir(b *testing.B) string {
 			return
 		}
 		warmDir = dir
-		w, err := world.Build(context.Background(), warmCfg())
+		w, err := world.New(warmCfg())
 		if err != nil {
 			warmDirErr = err
 			return
@@ -64,11 +64,12 @@ func coldCfg() world.Config {
 // stages — everything a full experiment run demands.
 func buildFull(b *testing.B, cfg world.Config) *world.World {
 	b.Helper()
-	w, err := world.Build(context.Background(), cfg)
+	w, err := world.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := w.Demand(context.Background(), stage.Join, stage.ServerLogs, stage.ClientRows); err != nil {
+	full := append(world.ClassicStages(), stage.Join, stage.ServerLogs, stage.ClientRows)
+	if err := w.Demand(context.Background(), full...); err != nil {
 		b.Fatal(err)
 	}
 	return w
@@ -101,7 +102,10 @@ func benchScenarioStart(b *testing.B, cfg world.Config) {
 	}
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		w, err := world.Build(ctx, cfg)
+		w, err := world.New(cfg)
+		if err == nil {
+			err = w.Demand(ctx, world.ClassicStages()...)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func benchScale() float64 {
 func getBenchWorld(b *testing.B) *World {
 	b.Helper()
 	benchWorldOnce.Do(func() {
-		benchWorld, benchWorldErr = BuildWorld(Config{Seed: 1, Scale: benchScale()})
+		benchWorld, benchWorldErr = NewWorld(Config{Seed: 1, Scale: benchScale()})
 		if benchWorldErr == nil {
 			// Materialize every stage up front: experiment benchmarks
 			// measure experiment compute, not first-touch stage builds
@@ -60,7 +60,7 @@ func benchExperiment(b *testing.B, id string) {
 	var res Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = RunExperiment(w, id)
+		res, err = RunExperimentCtx(context.Background(), w, id)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func BenchmarkLocalPerspective(b *testing.B)         { benchExperiment(b, "local
 // (an ablation of the substrate cost itself).
 func BenchmarkWorldBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildWorld(TestScaleConfig(int64(i + 1))); err != nil {
+		if _, err := newClassicWorld(TestScaleConfig(int64(i + 1))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func BenchmarkCaptureEmission(b *testing.B) {
 	li, site := busiestLetterSite(w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Campaign().EmitSiteCapture(io.Discard, li, site, 5000, 7); err != nil {
+		if _, err := w.Campaign().EmitSiteCaptureCtx(context.Background(), io.Discard, li, site, 5000, 7); err != nil {
 			b.Fatal(err)
 		}
 	}

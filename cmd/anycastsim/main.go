@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -13,6 +14,7 @@ import (
 
 	"anycastctx"
 	"anycastctx/internal/stats"
+	"anycastctx/internal/world"
 )
 
 func main() {
@@ -24,7 +26,13 @@ func main() {
 	)
 	flag.Parse()
 
-	w, err := anycastctx.BuildWorld(anycastctx.Config{Seed: *seed, Scale: *scale})
+	// The inventory reads every classic stage; demand them together so a
+	// failing stage surfaces here rather than as an accessor panic.
+	ctx := context.Background()
+	w, err := anycastctx.NewWorld(anycastctx.Config{Seed: *seed, Scale: *scale})
+	if err == nil {
+		err = w.Demand(ctx, world.ClassicStages()...)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -151,7 +159,7 @@ func dumpDatasets(w *anycastctx.World, dir string) error {
 	}
 
 	// CDN server-side logs.
-	logs := w.CDN().ServerSideLogs(w.Locations(), w.Cfg.Seed*13)
+	logs := w.CDN().ServerSideLogsCtx(context.Background(), w.Locations(), w.Cfg.Seed*13)
 	var lg []byte
 	lg = append(lg, "ring,asn,region,front_end,path_len,direct,median_rtt_ms,users\n"...)
 	for _, r := range logs {

@@ -4,12 +4,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"anycastctx"
+	"anycastctx/internal/stage"
 )
 
 func main() {
@@ -23,7 +25,11 @@ func main() {
 	)
 	flag.Parse()
 
-	w, err := anycastctx.BuildWorld(anycastctx.Config{Seed: *seed, Scale: *scale})
+	ctx := context.Background()
+	w, err := anycastctx.NewWorld(anycastctx.Config{Seed: *seed, Scale: *scale})
+	if err == nil {
+		err = w.Demand(ctx, stage.Campaign)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -45,7 +51,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		written, err := w.Campaign().EmitSiteCapture(f, li, s, *maxPkts, *seed*31)
+		written, err := w.Campaign().EmitSiteCaptureCtx(ctx, f, li, s, *maxPkts, *seed*31)
 		cerr := f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -4,24 +4,30 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"anycastctx"
 	"anycastctx/internal/cdn"
 	"anycastctx/internal/core"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/stats"
 )
 
 const rttsPerPage = 10 // Appendix C lower bound
 
 func main() {
-	w, err := anycastctx.BuildWorld(anycastctx.TestScaleConfig(9))
+	ctx := context.Background()
+	w, err := anycastctx.NewWorld(anycastctx.TestScaleConfig(9))
 	if err != nil {
 		log.Fatal(err)
 	}
-	logs := w.CDN().ServerSideLogs(w.Locations(), 99)
-	client := w.CDN().ClientMeasurements(w.Locations(), 99)
+	if err := w.Demand(ctx, stage.CDN, stage.Locations); err != nil {
+		log.Fatal(err)
+	}
+	logs := w.CDN().ServerSideLogsCtx(ctx, w.Locations(), 99)
+	client := w.CDN().ClientMeasurementsCtx(ctx, w.Locations(), 99)
 
 	fmt.Println("per-ring latency and inflation (user-weighted):")
 	fmt.Printf("  %-6s %6s %14s %16s %12s %12s\n",

@@ -4,19 +4,27 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"anycastctx"
 	"anycastctx/internal/core"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/stats"
 )
 
 func main() {
 	// A scaled-down world builds in a few seconds and preserves every
 	// qualitative behavior; Scale: 1 is the paper-scale environment.
-	w, err := anycastctx.BuildWorld(anycastctx.TestScaleConfig(1))
+	// NewWorld computes nothing: Demand materializes the stages read
+	// below (and what they depend on).
+	ctx := context.Background()
+	w, err := anycastctx.NewWorld(anycastctx.TestScaleConfig(1))
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := w.Demand(ctx, stage.CDN, stage.Campaign, stage.Join, stage.Locations); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("world: %d ASes, %d root letters, CDN with %d rings, %.0fM users\n\n",
@@ -24,7 +32,7 @@ func main() {
 
 	// Root DNS: geographic inflation per query, averaged over each
 	// recursive's letter preference (Fig 2a's All Roots line).
-	rootObs := core.GeoInflationAllRoots(w.Campaign(), w.Join())
+	rootObs := core.GeoInflationAllRoots(w.Campaign(), w.JoinCtx(ctx))
 	rootCDF, err := stats.NewCDF(rootObs)
 	if err != nil {
 		log.Fatal(err)
@@ -35,7 +43,7 @@ func main() {
 	fmt.Printf("  users above 20 ms:           %5.1f%%\n\n", 100*rootCDF.FractionAbove(20))
 
 	// CDN: the same methodology over the largest ring's server-side logs.
-	logs := w.CDN().ServerSideLogs(w.Locations(), w.Cfg.Seed)
+	logs := w.CDN().ServerSideLogsCtx(ctx, w.Locations(), w.Cfg.Seed)
 	r110 := w.CDN().Rings[len(w.CDN().Rings)-1]
 	cdnObs := core.CDNGeoInflation(logs, r110)
 	cdnCDF, err := stats.NewCDF(cdnObs)
@@ -49,7 +57,7 @@ func main() {
 
 	// ...but context matters: how often does each system's latency reach
 	// a user? (queries/day for roots vs ~10 RTTs per page load for CDN)
-	q, err := stats.NewCDF(core.QueriesPerUserCDN(w.Campaign(), w.Join(), core.ValidOnly))
+	q, err := stats.NewCDF(core.QueriesPerUserCDN(w.Campaign(), w.JoinCtx(ctx), core.ValidOnly))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"anycastctx/internal/obs"
 	"anycastctx/internal/stage"
-	"anycastctx/internal/stats"
 	"anycastctx/internal/world"
 )
 
@@ -83,7 +82,7 @@ type ProgressEvent struct {
 	Rows int
 }
 
-// progressHook is the registered progress callback. Atomic so RunAllParallel
+// progressHook is the registered progress callback. Atomic so RunAllCtx
 // workers read it without locking; the callback itself must be safe for
 // concurrent calls when experiments run in parallel.
 var progressHook atomic.Pointer[func(ProgressEvent)]
@@ -126,14 +125,10 @@ func Experiments() []Experiment {
 	return out
 }
 
-// RunExperiment runs one experiment by ID with a seed derived from the
-// world's configuration.
-func RunExperiment(w *World, id string) (Result, error) {
-	return RunExperimentCtx(context.Background(), w, id)
-}
-
-// RunExperimentCtx is RunExperiment with the caller's span context carried
-// into the experiment body (and from there into the pipeline fan-outs).
+// RunExperimentCtx runs one experiment by ID with a seed derived from the
+// world's configuration, materializing the stages it declares first. ctx
+// carries the caller's span into the experiment body (and from there into
+// the pipeline fan-outs).
 func RunExperimentCtx(ctx context.Context, w *World, id string) (Result, error) {
 	for _, e := range registry {
 		if e.ID == id {
@@ -156,7 +151,7 @@ func RunExperimentCtx(ctx context.Context, w *World, id string) (Result, error) 
 // withDeltas controls whether per-experiment counter deltas are computed
 // from before/after registry snapshots. Deltas are only meaningful when
 // experiments run one at a time: concurrent experiments advance the same
-// global counters, so RunAllParallel passes withDeltas=false rather than
+// global counters, so parallel RunAllCtx passes withDeltas=false rather than
 // attribute one experiment's counts to another.
 func runOne(ctx context.Context, w *World, e Experiment, withDeltas bool) (Result, error) {
 	hook := progressHook.Load()
@@ -215,60 +210,23 @@ func runMeasured(ctx context.Context, w *World, e Experiment, withDeltas bool) (
 	return res, err
 }
 
-// RunAll runs every experiment. It always returns the results of the
-// experiments that succeeded; the error aggregates every failure (one
-// broken experiment does not mask the others).
-func RunAll(w *World) ([]Result, error) {
-	return RunAllCtx(context.Background(), w)
-}
-
-// RunAllCtx is RunAll under the caller's span context: the whole batch is
-// recorded as one "run.experiments" span with each "experiment.<id>" span
-// as a direct child.
-func RunAllCtx(ctx context.Context, w *World) ([]Result, error) {
-	ctx, span := obs.StartSpanCtx(ctx, "run.experiments")
-	defer span.End()
-	var out []Result
-	var errs []error
-	for _, e := range registry {
-		res, err := runOne(ctx, w, e, true)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("experiment %s: %w", e.ID, err))
-			continue
-		}
-		out = append(out, res)
-	}
-	return out, errors.Join(errs...)
-}
-
-// RunAllParallel runs every experiment across a pool of workers. Results
-// come back in the same registry order as RunAll and, because every
-// experiment derives its rng from the world seed and only reads shared
-// world state, each Result's Measured and Output are byte-identical to a
-// serial run (covered by TestRunAllParallelMatchesSerial). Error
-// aggregation matches RunAll: every failure is joined, in registry order.
+// RunAllCtx runs every experiment, in registry order, under one
+// "run.experiments" span with each "experiment.<id>" span as a direct
+// child. It always returns the results of the experiments that succeeded;
+// the error joins every failure, in registry order (one broken experiment
+// does not mask the others).
 //
-// Per-experiment RunStats differ from serial runs in two documented ways:
-// CounterDeltas is omitted (global pipeline counters advance concurrently,
-// so per-experiment attribution would be wrong) and AllocBytes includes
+// workers <= 1 runs the experiments one at a time. More workers share the
+// registry through a pool; because every experiment derives its rng from
+// the world seed and only reads shared world state, each Result's
+// Measured and Output are byte-identical to a serial run (covered by
+// TestRunAllParallelMatchesSerial). Span parentage is context-carried, so
+// concurrent experiments still record correct trees. Per-experiment
+// RunStats differ from serial runs in two documented ways: CounterDeltas
+// is omitted (global pipeline counters advance concurrently, so
+// per-experiment attribution would be wrong) and AllocBytes includes
 // allocation by concurrently running experiments.
-//
-// workers <= 1 falls back to the serial RunAll.
-func RunAllParallel(w *World, workers int) ([]Result, error) {
-	return RunAllParallelCtx(context.Background(), w, workers)
-}
-
-// RunAllParallelCtx is RunAllParallel under the caller's span context. All
-// workers share one "run.experiments" parent span; because span parentage
-// is context-carried (not stack-carried), concurrent experiments still
-// record correct trees.
-func RunAllParallelCtx(ctx context.Context, w *World, workers int) ([]Result, error) {
-	if workers <= 1 || len(registry) <= 1 {
-		return RunAllCtx(ctx, w)
-	}
-	if workers > len(registry) {
-		workers = len(registry)
-	}
+func RunAllCtx(ctx context.Context, w *World, workers int) ([]Result, error) {
 	ctx, span := obs.StartSpanCtx(ctx, "run.experiments")
 	defer span.End()
 	type slot struct {
@@ -276,22 +234,28 @@ func RunAllParallelCtx(ctx context.Context, w *World, workers int) ([]Result, er
 		err error
 	}
 	slots := make([]slot, len(registry))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(registry) {
-					return
+	if workers <= 1 {
+		for i, e := range registry {
+			slots[i].res, slots[i].err = runOne(ctx, w, e, true)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for k := 0; k < min(workers, len(registry)); k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(registry) {
+						return
+					}
+					slots[i].res, slots[i].err = runOne(ctx, w, registry[i], false)
 				}
-				slots[i].res, slots[i].err = runOne(ctx, w, registry[i], false)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	var out []Result
 	var errs []error
 	for i, e := range registry {
@@ -302,12 +266,6 @@ func RunAllParallelCtx(ctx context.Context, w *World, workers int) ([]Result, er
 		out = append(out, slots[i].res)
 	}
 	return out, errors.Join(errs...)
-}
-
-// newCDF builds a CDF over weighted observations; it fails only on
-// programmer error (callers pass non-empty data).
-func newCDF(obs []stats.WeightedValue) (*stats.CDF, error) {
-	return stats.NewCDF(obs)
 }
 
 // msGrid is the x-axis sampling used when rendering CDF figures.
@@ -324,10 +282,19 @@ func logGrid() []float64 {
 	return []float64{0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000}
 }
 
-// build2020 constructs the companion 2020-DITL world at the same scale.
+// build2020 creates the companion 2020-DITL world at the same scale,
+// materializing only the join (and what it needs): fig11 reads nothing
+// else.
 func build2020(ctx context.Context, w *World) (*World, error) {
 	cfg := w.Cfg
 	cfg.Year = world.DITL2020
 	cfg.Seed = w.Cfg.Seed + 202000
-	return world.Build(ctx, cfg)
+	w20, err := world.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := w20.Demand(ctx, stage.Join); err != nil {
+		return nil, err
+	}
+	return w20, nil
 }

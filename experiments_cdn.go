@@ -162,7 +162,7 @@ func runFig4a(ctx context.Context, w *World, seed int64) (Result, error) {
 		for i, p := range pings {
 			obs[i] = stats.WeightedValue{Value: p.RTTMs * RTTsPerPageLoad, Weight: 1}
 		}
-		cdf, err := newCDF(obs)
+		cdf, err := stats.NewCDF(obs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -198,7 +198,7 @@ func runFig4b(ctx context.Context, w *World, seed int64) (Result, error) {
 				obs = append(obs, stats.WeightedValue{Value: d.PerPageMs, Weight: d.Location.Users})
 			}
 		}
-		cdf, err := newCDF(obs)
+		cdf, err := stats.NewCDF(obs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -210,7 +210,7 @@ func runFig4b(ctx context.Context, w *World, seed int64) (Result, error) {
 	for _, d := range deltas {
 		all = append(all, stats.WeightedValue{Value: -d.DeltaMs, Weight: d.Location.Users})
 	}
-	allCDF, err := newCDF(all)
+	allCDF, err := stats.NewCDF(all)
 	if err != nil {
 		return Result{}, err
 	}
@@ -225,14 +225,8 @@ func runFig4b(ctx context.Context, w *World, seed int64) (Result, error) {
 	}, nil
 }
 
-// serverLogsFor returns the server-side log table — the server_logs
-// stage, so several figures (and a warm cache) share one computation.
-func serverLogsFor(ctx context.Context, w *World) ([]cdn.ServerLogRow, error) {
-	return w.ServerLogsCtx(ctx)
-}
-
 func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
-	logs, err := serverLogsFor(ctx, w)
+	logs, err := w.ServerLogsCtx(ctx)
 	if err != nil {
 		return Result{}, err
 	}
@@ -240,7 +234,7 @@ func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
 	var r110Eff float64
 	for _, ring := range w.CDN().Rings {
 		obs := core.CDNGeoInflation(logs, ring)
-		cdf, err := newCDF(obs)
+		cdf, err := stats.NewCDF(obs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -251,7 +245,7 @@ func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
 	}
 	// Root DNS comparison line (All Roots, same methodology).
 	rootObs := core.GeoInflationAllRoots(w.Campaign(), w.JoinCtx(ctx))
-	rootCDF, err := newCDF(rootObs)
+	rootCDF, err := stats.NewCDF(rootObs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -268,14 +262,14 @@ func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
 }
 
 func runFig5b(ctx context.Context, w *World, seed int64) (Result, error) {
-	logs, err := serverLogsFor(ctx, w)
+	logs, err := w.ServerLogsCtx(ctx)
 	if err != nil {
 		return Result{}, err
 	}
 	var series []report.Series
 	var r110 *stats.CDF
 	for _, ring := range w.CDN().Rings {
-		cdf, err := newCDF(core.CDNLatencyInflation(logs, ring))
+		cdf, err := stats.NewCDF(core.CDNLatencyInflation(logs, ring))
 		if err != nil {
 			return Result{}, err
 		}
@@ -284,7 +278,7 @@ func runFig5b(ctx context.Context, w *World, seed int64) (Result, error) {
 			r110 = cdf
 		}
 	}
-	rootCDF, err := newCDF(core.LatencyInflationAllRoots(w.Campaign(), w.JoinCtx(ctx), anycastnet.TCPLatencyLetters2018))
+	rootCDF, err := stats.NewCDF(core.LatencyInflationAllRoots(w.Campaign(), w.JoinCtx(ctx), anycastnet.TCPLatencyLetters2018))
 	if err != nil {
 		return Result{}, err
 	}
@@ -473,7 +467,7 @@ func runFig7a(ctx context.Context, w *World, seed int64) (Result, error) {
 		eff := core.Efficiency(core.GeoInflationLetter(w.Campaign(), li, j), 1)
 		rows = append(rows, row{"root " + letter.Name, letter.NumGlobalSites(), stats.Median(vals), eff})
 	}
-	logs, err := serverLogsFor(ctx, w)
+	logs, err := w.ServerLogsCtx(ctx)
 	if err != nil {
 		return Result{}, err
 	}
@@ -484,7 +478,7 @@ func runFig7a(ctx context.Context, w *World, seed int64) (Result, error) {
 				obs = append(obs, stats.WeightedValue{Value: lr.MedianRTTMs, Weight: lr.Location.Users})
 			}
 		}
-		cdf, err := newCDF(obs)
+		cdf, err := stats.NewCDF(obs)
 		if err != nil {
 			return Result{}, err
 		}

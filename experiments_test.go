@@ -1,9 +1,12 @@
 package anycastctx
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
+
+	"anycastctx/internal/world"
 )
 
 var (
@@ -12,11 +15,24 @@ var (
 	sharedWorldErr  error
 )
 
+// newClassicWorld creates a world with every classic stage live, the
+// eagerly built shape tests compare demand-driven runs against.
+func newClassicWorld(cfg Config) (*World, error) {
+	w, err := NewWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Demand(context.Background(), world.ClassicStages()...); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
 // testWorld builds one shared test-scale world for all facade tests.
 func testWorld(t *testing.T) *World {
 	t.Helper()
 	sharedWorldOnce.Do(func() {
-		sharedWorld, sharedWorldErr = BuildWorld(TestScaleConfig(3))
+		sharedWorld, sharedWorldErr = newClassicWorld(TestScaleConfig(3))
 	})
 	if sharedWorldErr != nil {
 		t.Fatal(sharedWorldErr)
@@ -51,7 +67,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 
 func TestRunExperimentUnknown(t *testing.T) {
 	w := testWorld(t)
-	if _, err := RunExperiment(w, "fig99"); err == nil {
+	if _, err := RunExperimentCtx(context.Background(), w, "fig99"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -61,7 +77,7 @@ func TestRunEveryExperiment(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			res, err := RunExperiment(w, e.ID)
+			res, err := RunExperimentCtx(context.Background(), w, e.ID)
 			if err != nil {
 				t.Fatalf("experiment %s failed: %v", e.ID, err)
 			}
@@ -83,29 +99,29 @@ func TestRunEveryExperiment(t *testing.T) {
 
 func TestRunAll(t *testing.T) {
 	w := testWorld(t)
-	results, err := RunAll(w)
+	results, err := RunAllCtx(context.Background(), w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != len(Experiments()) {
-		t.Errorf("RunAll returned %d results for %d experiments", len(results), len(Experiments()))
+		t.Errorf("RunAllCtx returned %d results for %d experiments", len(results), len(Experiments()))
 	}
 }
 
 func TestWorldDeterminism(t *testing.T) {
-	w1, err := BuildWorld(TestScaleConfig(11))
+	w1, err := newClassicWorld(TestScaleConfig(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := BuildWorld(TestScaleConfig(11))
+	w2, err := newClassicWorld(TestScaleConfig(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RunExperiment(w1, "fig3")
+	r1, err := RunExperimentCtx(context.Background(), w1, "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunExperiment(w2, "fig3")
+	r2, err := RunExperimentCtx(context.Background(), w2, "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +134,10 @@ func TestWorldDeterminism(t *testing.T) {
 }
 
 func TestBuildWorldValidation(t *testing.T) {
-	if _, err := BuildWorld(Config{Seed: 1, Scale: 2}); err == nil {
+	if _, err := NewWorld(Config{Seed: 1, Scale: 2}); err == nil {
 		t.Error("scale > 1 accepted")
 	}
-	if _, err := BuildWorld(Config{Seed: 1, Year: 1999}); err == nil {
+	if _, err := NewWorld(Config{Seed: 1, Year: 1999}); err == nil {
 		t.Error("unknown year accepted")
 	}
 }
@@ -129,7 +145,7 @@ func TestBuildWorldValidation(t *testing.T) {
 func TestDITL2020World(t *testing.T) {
 	cfg := TestScaleConfig(5)
 	cfg.Year = DITL2020
-	w, err := BuildWorld(cfg)
+	w, err := newClassicWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,20 +165,20 @@ func TestExperimentsDoNotPerturbTheWorld(t *testing.T) {
 	// Ablations build their own environments; running any experiment must
 	// not change what another measures afterwards (no hidden graph or
 	// pool mutation).
-	w, err := BuildWorld(TestScaleConfig(21))
+	w, err := newClassicWorld(TestScaleConfig(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := RunExperiment(w, "fig5a")
+	before, err := RunExperimentCtx(context.Background(), w, "fig5a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"abl-size", "abl-peering", "growth", "fig11", "apps"} {
-		if _, err := RunExperiment(w, id); err != nil {
+		if _, err := RunExperimentCtx(context.Background(), w, id); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
-	after, err := RunExperiment(w, "fig5a")
+	after, err := RunExperimentCtx(context.Background(), w, "fig5a")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package anycastctx
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func emitTestCapture(t *testing.T, w *World, seed int64, maxPackets int) ([]byte
 	t.Helper()
 	li, site := busiestLetterSite(w)
 	var buf bytes.Buffer
-	n, err := w.Campaign().EmitSiteCapture(&buf, li, site, maxPackets, seed)
+	n, err := w.Campaign().EmitSiteCaptureCtx(context.Background(), &buf, li, site, maxPackets, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +154,13 @@ func TestPipelineSurvivesFaults(t *testing.T) {
 	})
 
 	t.Run("telemetry_rows_subset", func(t *testing.T) {
-		cleanLogs := w.CDN().ServerSideLogs(w.Locations(), 5)
-		cleanClient := w.CDN().ClientMeasurements(w.Locations(), 6)
+		cleanLogs := w.CDN().ServerSideLogsCtx(context.Background(), w.Locations(), 5)
+		cleanClient := w.CDN().ClientMeasurementsCtx(context.Background(), w.Locations(), 6)
 
 		w.CDN().Faults = faults.Policy{Seed: 31, TelemetryDropProb: 0.2}
 		defer func() { w.CDN().Faults = faults.Policy{} }()
-		faultyLogs := w.CDN().ServerSideLogs(w.Locations(), 5)
-		faultyClient := w.CDN().ClientMeasurements(w.Locations(), 6)
+		faultyLogs := w.CDN().ServerSideLogsCtx(context.Background(), w.Locations(), 5)
+		faultyClient := w.CDN().ClientMeasurementsCtx(context.Background(), w.Locations(), 6)
 
 		if len(faultyLogs) >= len(cleanLogs) {
 			t.Errorf("server rows: %d faulty vs %d clean, expected losses", len(faultyLogs), len(cleanLogs))
@@ -200,7 +201,7 @@ func TestPipelineSurvivesFaults(t *testing.T) {
 		w.Campaign().Faults = pol
 		defer func() { w.Campaign().Faults = faults.Policy{} }()
 		var buf bytes.Buffer
-		n, err := w.Campaign().EmitSiteCapture(&buf, li, site, 3000, 555)
+		n, err := w.Campaign().EmitSiteCaptureCtx(context.Background(), &buf, li, site, 3000, 555)
 		if err != nil {
 			t.Fatal(err)
 		}

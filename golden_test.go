@@ -84,7 +84,7 @@ func captureDigests(t *testing.T, w *World, digests map[string]string) {
 			h := sha256.New()
 			for site := range d.Sites {
 				buf.Reset()
-				if _, err := c.EmitSiteCapture(&buf, li, site, 500, 7); err != nil {
+				if _, err := c.EmitSiteCaptureCtx(context.Background(), &buf, li, site, 500, 7); err != nil {
 					t.Fatalf("%s capture, letter %s site %d: %v", run.name, c.LetterNames[li], site, err)
 				}
 				h.Write(buf.Bytes())
@@ -96,11 +96,11 @@ func captureDigests(t *testing.T, w *World, digests map[string]string) {
 
 func checkGolden(t *testing.T, goldenFile string, seed int64, scale float64) {
 	got := goldenSet{Seed: seed, Scale: scale, Digests: map[string]string{}}
-	w, err := BuildWorld(Config{Seed: got.Seed, Scale: got.Scale})
+	w, err := newClassicWorld(Config{Seed: got.Seed, Scale: got.Scale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunAllParallel(w, 0)
+	results, err := RunAllCtx(context.Background(), w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package anycastnet
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -294,7 +295,7 @@ func TestDeploymentRouteConcurrent(t *testing.T) {
 			defer wg.Done()
 			if off%3 == 0 {
 				// Some goroutines take the batch path.
-				got := d.Catchments(eyeballs)
+				got := d.CatchmentsCtx(context.Background(), eyeballs)
 				for e, rt := range got {
 					if want[e] != rt.SiteID {
 						t.Errorf("Catchments AS%d → site %d, serial %d", e, rt.SiteID, want[e])

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"context"
 	"testing"
 
 	"anycastctx/internal/geo"
@@ -69,7 +70,7 @@ func TestRouteMemoFillAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm.Warm(srcs)
+	warm.WarmCtx(context.Background(), srcs)
 	r, err := NewResolver(g, sites)
 	if err != nil {
 		t.Fatal(err)

@@ -399,16 +399,10 @@ func (r *Resolver) Route(src topology.ASN) (Route, bool) {
 	return rt, ok
 }
 
-// Warm fills the route cache for srcs across one worker per CPU. It is a
-// pure pre-computation: outputs of later Route/Catchments calls are
-// byte-identical whether or not Warm ran.
-func (r *Resolver) Warm(srcs []topology.ASN) {
-	r.WarmCtx(context.Background(), srcs)
-}
-
-// WarmCtx is Warm with the caller's span context threaded to the cache-fill
-// shards, so a traced build shows per-worker "bgp.warm.shard" spans under
-// the calling stage.
+// WarmCtx fills the route cache for srcs across one worker per CPU. It is
+// a pure pre-computation: outputs of later Route/CatchmentsCtx calls are
+// byte-identical whether or not it ran. A traced build shows per-worker
+// "bgp.warm.shard" spans under the calling stage.
 func (r *Resolver) WarmCtx(ctx context.Context, srcs []topology.ASN) {
 	ctx, warm := obs.StartSpanCtx(ctx, "bgp.warm")
 	defer warm.End()
@@ -783,18 +777,12 @@ func (r *Resolver) preferredTier1(p topology.ASN) topology.ASN {
 	return best
 }
 
-// Catchments resolves routes for every AS in srcs, returning only
+// CatchmentsCtx resolves routes for every AS in srcs, returning only
 // successful resolutions. Sources are sharded across one worker per CPU
 // to fill the route memo, then read back from it in input order, so the
-// returned map is identical to a serial pass.
-func (r *Resolver) Catchments(srcs []topology.ASN) map[topology.ASN]Route {
-	return r.CatchmentsCtx(context.Background(), srcs)
-}
-
-// CatchmentsCtx is Catchments with the caller's span context carried into
-// the resolution shards: a traced run records one "bgp.catchments" span
-// with a "bgp.catchments.shard" child per worker, all parented under the
-// calling stage. The returned map is byte-identical to Catchments.
+// returned map is identical to a serial pass. A traced run records one
+// "bgp.catchments" span with a "bgp.catchments.shard" child per worker,
+// all parented under the calling stage.
 func (r *Resolver) CatchmentsCtx(ctx context.Context, srcs []topology.ASN) map[topology.ASN]Route {
 	ctx, batch := obs.StartSpanCtx(ctx, "bgp.catchments")
 	defer batch.End()

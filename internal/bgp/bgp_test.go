@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestRouteSourceAddedAfterResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Warm(g.Eyeballs())
+	r.WarmCtx(context.Background(), g.Eyeballs())
 	late := g.AddHostAS("late-source", g.Regions[0].Center, []topology.ASN{g.Transits()[3]}, 0.3)
 	fresh, err := NewResolver(g, sites)
 	if err != nil {
@@ -119,7 +120,7 @@ func TestRouteSourceAddedAfterResolver(t *testing.T) {
 			t.Fatalf("call %d: late AS routes (%+v, %v), fresh resolver (%+v, true)", i, got, ok, want)
 		}
 	}
-	if got := r.Catchments([]topology.ASN{late.ASN}); !routesSame(got[late.ASN], want) {
+	if got := r.CatchmentsCtx(context.Background(), []topology.ASN{late.ASN}); !routesSame(got[late.ASN], want) {
 		t.Fatalf("late AS catchment %+v, fresh resolver %+v", got[late.ASN], want)
 	}
 }
@@ -324,7 +325,7 @@ func TestCatchments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := r.Catchments(g.Eyeballs())
+	m := r.CatchmentsCtx(context.Background(), g.Eyeballs())
 	if len(m) != len(g.Eyeballs()) {
 		t.Errorf("catchments for %d of %d eyeballs", len(m), len(g.Eyeballs()))
 	}

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ func codecWorld(t testing.TB) (*topology.Graph, []Site, []byte) {
 		t.Fatal(err)
 	}
 	srcs := codecSources(g)
-	r.Warm(srcs)
+	r.WarmCtx(context.Background(), srcs)
 	w := artifact.NewWriter(1 << 12)
 	if err := r.AppendState(w, srcs); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestCatchmentsConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := g.Eyeballs()
-	want := serial.Catchments(srcs)
+	want := serial.CatchmentsCtx(context.Background(), srcs)
 
 	const goroutines = 8
 	got := make([]map[topology.ASN]Route, goroutines)
@@ -124,7 +125,7 @@ func TestCatchmentsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			got[k] = shared.Catchments(srcs)
+			got[k] = shared.CatchmentsCtx(context.Background(), srcs)
 		}(k)
 	}
 	wg.Wait()
@@ -154,7 +155,7 @@ func TestWarmDoesNotChangeRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmed.Warm(g.Eyeballs())
+	warmed.WarmCtx(context.Background(), g.Eyeballs())
 	for _, e := range g.Eyeballs() {
 		a, aok := warmed.Route(e)
 		b, bok := cold.Route(e)

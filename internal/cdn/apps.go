@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"context"
 	"fmt"
 
 	"anycastctx/internal/stats"
@@ -51,7 +52,7 @@ func (c *CDN) AppLatencies(locs []Location, apps []AppProfile, seed int64) ([]Ap
 	if len(c.Rings) == 0 {
 		return nil, fmt.Errorf("cdn: no rings")
 	}
-	rows := c.ClientMeasurements(locs, seed)
+	rows := c.ClientMeasurementsCtx(context.Background(), locs, seed)
 	medianFor := func(ring string) (float64, error) {
 		var obs []stats.WeightedValue
 		for _, r := range rows {

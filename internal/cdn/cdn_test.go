@@ -12,7 +12,7 @@ import (
 	"anycastctx/internal/topology"
 )
 
-func buildWorld(t *testing.T) (*topology.Graph, *CDN) {
+func buildWorld(t testing.TB) (*topology.Graph, *CDN) {
 	t.Helper()
 	regions := geo.GenerateRegions(geo.PaperRegionCounts, rand.New(rand.NewSource(42)))
 	g, err := topology.New(topology.Config{Seed: 21, NumTier1: 6, NumTransit: 40, NumEyeball: 600}, regions)
@@ -111,7 +111,7 @@ func TestLargerRingsLowerLatency(t *testing.T) {
 	// Fig 4a: median latency decreases (weakly) as rings grow.
 	g, c := buildWorld(t)
 	locs := Locations(g, 1e9)
-	rows := c.ClientMeasurements(locs, 3)
+	rows := c.ClientMeasurementsCtx(context.Background(), locs, 3)
 	medians := map[string]float64{}
 	for _, ring := range c.Rings {
 		var obs []stats.WeightedValue
@@ -170,7 +170,7 @@ func TestLargerRingsLessEfficient(t *testing.T) {
 func TestServerSideLogs(t *testing.T) {
 	g, c := buildWorld(t)
 	locs := Locations(g, 1e9)
-	rows := c.ServerSideLogs(locs, 5)
+	rows := c.ServerSideLogsCtx(context.Background(), locs, 5)
 	if len(rows) == 0 {
 		t.Fatal("no log rows")
 	}
@@ -203,7 +203,7 @@ func TestRingDeltasMostlyNonNegative(t *testing.T) {
 	// locations lose less than ~10 ms per RTT.
 	g, c := buildWorld(t)
 	locs := Locations(g, 1e9)
-	rows := c.ClientMeasurements(locs, 9)
+	rows := c.ClientMeasurementsCtx(context.Background(), locs, 9)
 	ringNames := []string{"R28", "R47", "R74", "R95", "R110"}
 	deltas := RingDeltas(rows, ringNames, 10)
 	if len(deltas) == 0 {

@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"fmt"
+	"math"
 
 	"anycastctx/internal/artifact"
 	"anycastctx/internal/geo"
@@ -27,6 +28,17 @@ func readLocation(r *artifact.Reader) Location {
 		Users:  r.F64(),
 	}
 }
+
+// validLocation reports whether a decoded location could have been
+// encoded: a real region index, coordinates on the globe, and a finite
+// non-negative user count.
+func validLocation(l Location) bool {
+	return l.Region >= 0 && l.Loc.Lat >= -90 && l.Loc.Lat <= 90 &&
+		l.Loc.Lon >= -180 && l.Loc.Lon <= 180 && finiteNonNeg(l.Users)
+}
+
+// finiteNonNeg reports whether v is a finite number >= 0.
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 func appendRingTable(w *artifact.Writer, names []string) map[string]uint32 {
 	ix := make(map[string]uint32, len(names))
@@ -85,7 +97,7 @@ func EncodeServerLogs(rows []ServerLogRow) []byte {
 }
 
 // DecodeServerLogs rebuilds a server-side telemetry table from an
-// EncodeServerLogs payload.
+// EncodeServerLogs payload, rejecting rows no measurement could produce.
 func DecodeServerLogs(blob []byte) ([]ServerLogRow, error) {
 	r := artifact.NewReader(blob)
 	names := readRingTable(r)
@@ -115,6 +127,13 @@ func DecodeServerLogs(blob []byte) ([]ServerLogRow, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
+	for i := range rows {
+		row := &rows[i]
+		if !validLocation(row.Location) || row.FrontEnd < 0 || row.PathLen < 0 || row.Samples < 0 ||
+			!finiteNonNeg(row.MedianRTTMs) {
+			return nil, fmt.Errorf("cdn: decode server logs: row %d invalid: %+v", i, *row)
+		}
+	}
 	if n == 0 {
 		return nil, nil
 	}
@@ -142,7 +161,7 @@ func EncodeClientRows(rows []ClientMeasurementRow) []byte {
 }
 
 // DecodeClientRows rebuilds a client-side telemetry table from an
-// EncodeClientRows payload.
+// EncodeClientRows payload, rejecting rows no measurement could produce.
 func DecodeClientRows(blob []byte) ([]ClientMeasurementRow, error) {
 	r := artifact.NewReader(blob)
 	names := readRingTable(r)
@@ -167,6 +186,11 @@ func DecodeClientRows(blob []byte) ([]ClientMeasurementRow, error) {
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
+	}
+	for i := range rows {
+		if row := &rows[i]; !validLocation(row.Location) || !finiteNonNeg(row.MedianRTTMs) {
+			return nil, fmt.Errorf("cdn: decode client rows: row %d invalid: %+v", i, *row)
+		}
 	}
 	if n == 0 {
 		return nil, nil

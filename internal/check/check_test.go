@@ -30,11 +30,22 @@ func testWorld(t testing.TB, cfg world.Config) *world.World {
 	if w, ok := worlds[cfg]; ok {
 		return w
 	}
-	w, err := world.Build(context.Background(), cfg)
+	w := buildWorld(t, cfg)
+	worlds[cfg] = w
+	return w
+}
+
+// buildWorld creates a world with every classic stage live, as a -check
+// run of the experiments command materializes it.
+func buildWorld(t testing.TB, cfg world.Config) *world.World {
+	t.Helper()
+	w, err := world.New(cfg)
+	if err == nil {
+		err = w.Demand(context.Background(), world.ClassicStages()...)
+	}
 	if err != nil {
 		t.Fatalf("world %+v: %v", cfg, err)
 	}
-	worlds[cfg] = w
 	return w
 }
 
@@ -71,7 +82,7 @@ func takeFingerprint(w *world.World) fingerprint {
 		raw: s.RawPerDay, invalid: s.InvalidPerDay, ptr: s.PTRPerDay,
 		private: s.PrivatePerDay, v6: s.V6PerDay, retained: s.RetainedPerDay,
 		recursives:  w.Campaign().NumRecursives(),
-		joinRows:    len(w.Join().Rows),
+		joinRows:    len(w.JoinCtx(context.Background()).Rows),
 		totalBy24:   w.CDNCounts().TotalBy24(),
 		usersServed: w.Pop().UsersServed(),
 	}
@@ -135,11 +146,7 @@ func TestScaleMonotonicityAndFunnelStability(t *testing.T) {
 // between builds through package-level variables.
 func TestSeedPermutationInvariance(t *testing.T) {
 	build := func(seed int64) fingerprint {
-		w, err := world.Build(context.Background(), world.Config{Seed: seed, Scale: 0.05})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return takeFingerprint(w)
+		return takeFingerprint(buildWorld(t, world.Config{Seed: seed, Scale: 0.05}))
 	}
 	first := map[int64]fingerprint{11: build(11), 12: build(12)}
 	second := map[int64]fingerprint{12: build(12), 11: build(11)}
@@ -241,7 +248,7 @@ func TestStoreCheckerFiresOnConfigDrift(t *testing.T) {
 
 func TestJoinCheckerFiresOnRewrittenCount(t *testing.T) {
 	w := scaleWorld(t, 0.05)
-	j := w.Join() // force the cache, then change the data under it
+	j := w.JoinCtx(context.Background()) // force the cache, then change the data under it
 	if len(j.Rows) == 0 {
 		t.Fatal("empty join")
 	}
@@ -256,7 +263,7 @@ func TestJoinCheckerFiresOnRewrittenCount(t *testing.T) {
 
 func TestUserViewCheckerFiresOnInflatedCount(t *testing.T) {
 	w := scaleWorld(t, 0.05)
-	j := w.Join()
+	j := w.JoinCtx(context.Background())
 	if len(j.Rows) == 0 {
 		t.Fatal("empty join")
 	}

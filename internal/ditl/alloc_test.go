@@ -2,6 +2,7 @@ package ditl
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -19,7 +20,7 @@ func TestCaptureRoundTripAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		buf.Reset()
 		var err error
-		if n, err = f.camp.EmitSiteCapture(&buf, 1, 0, 3000, 7); err != nil {
+		if n, err = f.camp.EmitSiteCaptureCtx(context.Background(), &buf, 1, 0, 3000, 7); err != nil {
 			t.Fatal(err)
 		}
 		s, err := SummarizeCapture(bytes.NewReader(buf.Bytes()))

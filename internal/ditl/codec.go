@@ -166,7 +166,7 @@ func EncodeJoin(j *Join) []byte {
 }
 
 // DecodeJoin rebuilds a join from an EncodeJoin payload. Rows must come
-// in strictly increasing recursive order, as JoinCDN emits them, with
+// in strictly increasing recursive order, as JoinCDNCtx emits them, with
 // finite non-negative volumes and user counts.
 func DecodeJoin(blob []byte) (*Join, error) {
 	r := artifact.NewReader(blob)

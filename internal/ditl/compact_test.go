@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"anycastctx/internal/users"
 )
 
 // The compact column store (routeIdx/altSite/... plus shared route tables)
@@ -75,12 +77,25 @@ func TestAtIsolation(t *testing.T) {
 	t.Skip("no reachable cell in fixture")
 }
 
+// joinCDNSerial is the single-pass reference implementation of
+// JoinCDNCtx, the oracle the streaming version is tested byte-identical
+// against. It does not touch the obs counters.
+func (c *Campaign) joinCDNSerial(cdn *users.CDNCounts, byIP bool) *Join {
+	j := &Join{ByIP: byIP}
+	for ri := range c.Pop.Recursives {
+		if row, ok := c.joinRow(cdn, byIP, ri); ok {
+			j.Rows = append(j.Rows, row)
+		}
+	}
+	return j
+}
+
 // TestJoinCDNMatchesSerial pins the streaming (mark/prefix-sum/fill) join
 // against the retained serial oracle, row for row, in both granularities.
 func TestJoinCDNMatchesSerial(t *testing.T) {
 	f := buildFixture(t)
 	for _, byIP := range []bool{false, true} {
-		got := f.camp.JoinCDN(f.cdn, byIP)
+		got := f.camp.JoinCDNCtx(context.Background(), f.cdn, byIP)
 		want := f.camp.joinCDNSerial(f.cdn, byIP)
 		if got.ByIP != want.ByIP {
 			t.Fatalf("byIP=%v: ByIP flag %v", byIP, got.ByIP)
@@ -103,7 +118,7 @@ func TestEmitSiteCaptureByteStable(t *testing.T) {
 	f := buildFixture(t)
 	emit := func() []byte {
 		var buf bytes.Buffer
-		if _, err := f.camp.EmitSiteCapture(&buf, 2, 0, 2000, 99); err != nil {
+		if _, err := f.camp.EmitSiteCaptureCtx(context.Background(), &buf, 2, 0, 2000, 99); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -149,7 +164,7 @@ func BenchmarkJoinCDN(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchJoin = f.camp.JoinCDN(f.cdn, false)
+		benchJoin = f.camp.JoinCDNCtx(context.Background(), f.cdn, false)
 	}
 }
 
@@ -160,7 +175,7 @@ func BenchmarkEmitSiteCapture(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if _, err := f.camp.EmitSiteCapture(&buf, 2, 0, 2000, 7); err != nil {
+		if _, err := f.camp.EmitSiteCaptureCtx(context.Background(), &buf, 2, 0, 2000, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -171,7 +186,7 @@ func BenchmarkEmitSiteCapture(b *testing.B) {
 func BenchmarkSummarizeCapture(b *testing.B) {
 	f := buildFixture(b)
 	var buf bytes.Buffer
-	n, err := f.camp.EmitSiteCapture(&buf, 2, 0, 2000, 7)
+	n, err := f.camp.EmitSiteCaptureCtx(context.Background(), &buf, 2, 0, 2000, 7)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -240,8 +240,8 @@ func TestPreprocessFunnel(t *testing.T) {
 
 func TestJoinCDNSlash24VsByIP(t *testing.T) {
 	f := buildFixture(t)
-	j24 := f.camp.JoinCDN(f.cdn, false)
-	jIP := f.camp.JoinCDN(f.cdn, true)
+	j24 := f.camp.JoinCDNCtx(context.Background(), f.cdn, false)
+	jIP := f.camp.JoinCDNCtx(context.Background(), f.cdn, true)
 	if len(j24.Rows) == 0 {
 		t.Fatal("empty /24 join")
 	}
@@ -324,7 +324,7 @@ func TestLetterIndex(t *testing.T) {
 func TestEmitAndSummarizeCapture(t *testing.T) {
 	f := buildFixture(t)
 	var buf bytes.Buffer
-	n, err := f.camp.EmitSiteCapture(&buf, 1, 0, 3000, 7)
+	n, err := f.camp.EmitSiteCaptureCtx(context.Background(), &buf, 1, 0, 3000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,10 +362,10 @@ func TestEmitAndSummarizeCapture(t *testing.T) {
 func TestEmitCaptureValidation(t *testing.T) {
 	f := buildFixture(t)
 	var buf bytes.Buffer
-	if _, err := f.camp.EmitSiteCapture(&buf, 99, 0, 10, 8); err == nil {
+	if _, err := f.camp.EmitSiteCaptureCtx(context.Background(), &buf, 99, 0, 10, 8); err == nil {
 		t.Error("bad letter accepted")
 	}
-	if _, err := f.camp.EmitSiteCapture(&buf, 0, 99, 10, 8); err == nil {
+	if _, err := f.camp.EmitSiteCaptureCtx(context.Background(), &buf, 0, 99, 10, 8); err == nil {
 		t.Error("bad site accepted")
 	}
 }

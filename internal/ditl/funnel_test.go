@@ -2,6 +2,7 @@ package ditl
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"testing"
 )
@@ -33,7 +34,7 @@ func recordOffsets(t *testing.T, capture []byte) []int {
 func TestSummarizeCaptureBucketsAreExclusive(t *testing.T) {
 	f := buildFixture(t)
 	var buf bytes.Buffer
-	written, err := f.camp.EmitSiteCapture(&buf, 1, 0, 500, 7)
+	written, err := f.camp.EmitSiteCaptureCtx(context.Background(), &buf, 1, 0, 500, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSummarizeCaptureBucketsAreExclusive(t *testing.T) {
 func TestSummarizeCaptureReconciliationGuard(t *testing.T) {
 	f := buildFixture(t)
 	var buf bytes.Buffer
-	written, err := f.camp.EmitSiteCapture(&buf, 1, 0, 200, 9)
+	written, err := f.camp.EmitSiteCaptureCtx(context.Background(), &buf, 1, 0, 200, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package ditl
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"anycastctx/internal/latency"
@@ -56,7 +57,7 @@ func FuzzDecodeCampaignArtifact(f *testing.F) {
 func FuzzDecodeJoin(f *testing.F) {
 	fx := fuzzFixture(f)
 	for _, byIP := range []bool{false, true} {
-		blob := EncodeJoin(fx.camp.JoinCDN(fx.cdn, byIP))
+		blob := EncodeJoin(fx.camp.JoinCDNCtx(context.Background(), fx.cdn, byIP))
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
 	}

@@ -101,24 +101,17 @@ func (c *Campaign) joinRow(cdn *users.CDNCounts, byIP bool, ri int) (JoinedRow, 
 	}, true
 }
 
-// JoinCDN joins valid query volumes with CDN user counts at the /24 level
-// (§2.1's DITL∩CDN), or at exact-IP granularity when byIP is set (the
-// Appendix B.2 sensitivity analysis, Fig 9).
+// JoinCDNCtx joins valid query volumes with CDN user counts at the /24
+// level (§2.1's DITL∩CDN), or at exact-IP granularity when byIP is set
+// (the Appendix B.2 sensitivity analysis, Fig 9).
 //
 // It streams: a parallel marking pass over the recursives, a prefix sum,
 // and a parallel fill into an exactly-sized row slice, preserving input
 // order. Unlike an append loop this never over-allocates (append growth
 // can strand almost 2x the final size) and does no per-row float
 // arithmetic outside joinRow, so the output is byte-identical to the
-// serial join (joinCDNSerial stays behind as the test oracle).
-func (c *Campaign) JoinCDN(cdn *users.CDNCounts, byIP bool) *Join {
-	return c.JoinCDNCtx(context.Background(), cdn, byIP)
-}
-
-// JoinCDNCtx is JoinCDN with the caller's span context carried into the
-// mark and fill shards: a traced run records "ditl.join_cdn" with
-// per-worker "ditl.join_cdn.shard" children. Output is byte-identical to
-// JoinCDN.
+// serial join (joinCDNSerial in the tests is the oracle). A traced run
+// records "ditl.join_cdn" with per-worker "ditl.join_cdn.shard" children.
 func (c *Campaign) JoinCDNCtx(ctx context.Context, cdn *users.CDNCounts, byIP bool) *Join {
 	ctx, join := obs.StartSpanCtx(ctx, "ditl.join_cdn")
 	defer join.End()
@@ -155,19 +148,6 @@ func (c *Campaign) JoinCDNCtx(ctx context.Context, cdn *users.CDNCounts, byIP bo
 	obsJoinRows.Add(uint64(len(j.Rows)))
 	for _, row := range j.Rows {
 		obsJoinRowUsers.Observe(row.Users)
-	}
-	return j
-}
-
-// joinCDNSerial is the single-pass reference implementation of JoinCDN,
-// kept as the oracle the streaming version is tested byte-identical
-// against. It does not touch the obs counters.
-func (c *Campaign) joinCDNSerial(cdn *users.CDNCounts, byIP bool) *Join {
-	j := &Join{ByIP: byIP}
-	for ri := range c.Pop.Recursives {
-		if row, ok := c.joinRow(cdn, byIP, ri); ok {
-			j.Rows = append(j.Rows, row)
-		}
 	}
 	return j
 }

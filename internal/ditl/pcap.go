@@ -23,19 +23,6 @@ func LetterAnycastAddr(li int) ipaddr.Addr {
 // captureStart anchors emitted capture timestamps at the 2018 DITL window.
 var captureStart = time.Date(2018, time.April, 10, 0, 0, 0, 0, time.UTC)
 
-// EmitSiteCapture writes a sampled 48-hour pcap of the traffic arriving at
-// one site of one letter: UDP query/response pairs plus occasional TCP
-// handshakes, drawn from the recursives whose catchment includes the site
-// and from junk sources. At most maxPackets packets are written.
-//
-// Randomness is derived per entity — Split(seed, PhaseCaptureJunk/Rec,
-// letter).Fork(site).Fork(packet-or-recursive) — so each contributor's
-// records depend only on (campaign, seed, contributor), and the output
-// bytes only on (campaign, seed, maxPackets).
-func (c *Campaign) EmitSiteCapture(w io.Writer, li, siteID, maxPackets int, seed int64) (int, error) {
-	return c.EmitSiteCaptureCtx(context.Background(), w, li, siteID, maxPackets, seed)
-}
-
 // captureEmitter streams one site capture's records into a pcap writer.
 type captureEmitter struct {
 	pw *pcapio.Writer
@@ -98,9 +85,17 @@ func (e *captureEmitter) encode(m *dnswire.Message) ([]byte, error) {
 // full reports that the capture holds maxPackets packets.
 func (e *captureEmitter) full() bool { return e.written >= e.max }
 
-// EmitSiteCaptureCtx is EmitSiteCapture parented under the span carried by
-// ctx: a traced run records one "ditl.capture" span per emitted site
-// capture. Output bytes are identical to EmitSiteCapture.
+// EmitSiteCaptureCtx writes a sampled 48-hour pcap of the traffic
+// arriving at one site of one letter: UDP query/response pairs plus
+// occasional TCP handshakes, drawn from the recursives whose catchment
+// includes the site and from junk sources. At most maxPackets packets are
+// written. A traced run records one "ditl.capture" span per emitted site
+// capture under the span carried by ctx.
+//
+// Randomness is derived per entity — Split(seed, PhaseCaptureJunk/Rec,
+// letter).Fork(site).Fork(packet-or-recursive) — so each contributor's
+// records depend only on (campaign, seed, contributor), and the output
+// bytes only on (campaign, seed, maxPackets).
 //
 // Emission is serial and streams straight into the pcap writer: the junk
 // block first, then each contributor in order, stopping at maxPackets.
@@ -365,7 +360,7 @@ func (s *CaptureSummary) Skipped() int {
 	return s.TruncatedRecords + s.MalformedPackets + s.MalformedDNS
 }
 
-// SummarizeCapture decodes a pcap stream (as written by EmitSiteCapture)
+// SummarizeCapture decodes a pcap stream (as written by EmitSiteCaptureCtx)
 // back into aggregate counts — the first stage of the analysis pipeline,
 // exercising the same decode path a DITL consumer would. Like that
 // consumer (which discards ~64% of raw DITL input as junk, §2.1), it

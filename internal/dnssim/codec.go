@@ -2,6 +2,7 @@ package dnssim
 
 import (
 	"fmt"
+	"math"
 
 	"anycastctx/internal/artifact"
 	"anycastctx/internal/users"
@@ -28,7 +29,8 @@ func EncodeRates(rates []Rates) []byte {
 }
 
 // DecodeRates rebuilds a rate table from an EncodeRates payload,
-// reattaching each entry to its recursive in pop by index.
+// reattaching each entry to its recursive in pop by index. Every rate
+// must be a finite number >= 0.
 func DecodeRates(blob []byte, pop *users.Population) ([]Rates, error) {
 	r := artifact.NewReader(blob)
 	n := r.Count(6*8 + 2)
@@ -54,6 +56,15 @@ func DecodeRates(blob []byte, pop *users.Population) ([]Rates, error) {
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
+	}
+	for i := range out {
+		q := &out[i]
+		for _, v := range [...]float64{q.UserQueriesPerDay, q.RootValidPerDay, q.RootInvalidPerDay,
+			q.RootPTRPerDay, q.IdealPerDay, q.TCPShare} {
+			if !(v >= 0 && !math.IsInf(v, 1)) {
+				return nil, fmt.Errorf("dnssim: decode rates: entry %d has rate %v", i, v)
+			}
+		}
 	}
 	return out, nil
 }

@@ -45,7 +45,7 @@ func TestRootServerReferral(t *testing.T) {
 		}
 	}
 	// The full message must round-trip through the wire codec.
-	b, err := resp.Encode()
+	b, err := resp.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRootServerAgainstRandomQueries(t *testing.T) {
 			name = client.SampleJunk()
 		}
 		resp := s.Respond(dnswire.NewQuery(uint16(i), name, dnswire.TypeA))
-		if b, err := resp.Encode(); err != nil {
+		if b, err := resp.EncodeInto(nil); err != nil {
 			t.Fatalf("encoding response for %q: %v", name, err)
 		} else if _, err := dnswire.Decode(b); err != nil {
 			t.Fatalf("decoding response for %q: %v", name, err)
@@ -178,7 +178,7 @@ func TestRootServerTruncatesWithoutEDNS(t *testing.T) {
 func TestRootServerMemoIsolated(t *testing.T) {
 	z := testZone(t)
 	encode := func(m *dnswire.Message) string {
-		b, err := m.Encode()
+		b, err := m.EncodeInto(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ func BenchmarkEncodeQuery(b *testing.B) {
 	q := NewQuery(1, "www.example.com", TypeA)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Encode(); err != nil {
+		if _, err := q.EncodeInto(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func BenchmarkDecodeResponse(b *testing.B) {
 	m.Additional = []RR{
 		{Name: "a.gtld-servers.net", Type: TypeA, Class: ClassIN, TTL: 172800, RData: ARData(192, 5, 6, 30)},
 	}
-	enc, err := m.Encode()
+	enc, err := m.EncodeInto(nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -353,17 +353,12 @@ func headerFromFlags(id, f uint16) Header {
 	}
 }
 
-// Encode serializes the message with name compression.
-func (m *Message) Encode() ([]byte, error) {
-	return m.EncodeInto(nil)
-}
-
-// EncodeInto encodes the message into buf's storage (ignoring its
-// contents), growing only when capacity runs out — hot emitters reuse one
-// buffer across messages. The encoding must start at offset 0 of the
-// returned slice because name-compression pointers are message-relative,
-// which is why this is an "into" and not an "append" API. The returned
-// slice may alias buf.
+// EncodeInto serializes the message with name compression into buf's
+// storage (ignoring its contents; nil allocates), growing only when
+// capacity runs out — hot emitters reuse one buffer across messages.
+// The encoding must start at offset 0 of the returned slice because
+// name-compression pointers are message-relative, which is why this is
+// an "into" and not an "append" API. The returned slice may alias buf.
 func (m *Message) EncodeInto(buf []byte) ([]byte, error) {
 	// The header stores section counts in 16 bits; larger sections would
 	// silently truncate the count while every record is still written,

@@ -40,7 +40,7 @@ func TestDecodePartialKeepsIntactSections(t *testing.T) {
 		{Name: "example.com", Type: TypeA, Class: ClassIN, TTL: 60, RData: []byte{192, 0, 2, 1}},
 		{Name: "example.com", Type: TypeA, Class: ClassIN, TTL: 60, RData: []byte{192, 0, 2, 2}},
 	}
-	enc, err := m.Encode()
+	enc, err := m.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestEncodeRejectsOversizedSection(t *testing.T) {
 	for i := range m.Questions {
 		m.Questions[i] = Question{Name: "x", Type: TypeA, Class: ClassIN}
 	}
-	if _, err := m.Encode(); err == nil {
+	if _, err := m.EncodeInto(nil); err == nil {
 		t.Error("65536-entry section accepted")
 	}
 }

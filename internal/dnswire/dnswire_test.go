@@ -12,7 +12,7 @@ import (
 
 func TestQueryRoundTrip(t *testing.T) {
 	q := NewQuery(0x1234, "www.example.com", TypeA)
-	b, err := q.Encode()
+	b, err := q.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	resp.Additional = []RR{
 		{Name: "a.gtld-servers.net", Type: TypeA, Class: ClassIN, TTL: 172800, RData: ARData(192, 5, 6, 30)},
 	}
-	b, err := resp.Encode()
+	b, err := resp.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestResponseRoundTrip(t *testing.T) {
 func TestNXDomainResponse(t *testing.T) {
 	q := NewQuery(9, "bogus-tld-xyzzy", TypeA)
 	resp := NewResponse(q, RCodeNXDomain, nil)
-	b, err := resp.Encode()
+	b, err := resp.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestNameCompressionShrinksMessage(t *testing.T) {
 			rd, _ := NameRData("ns.example.com")
 			m.Answers = append(m.Answers, RR{Name: "example.com", Type: TypeNS, Class: ClassIN, TTL: 60, RData: rd})
 		}
-		b, err := m.Encode()
+		b, err := m.EncodeInto(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestNameCompressionShrinksMessage(t *testing.T) {
 	m.Questions = []Question{{Name: "example.com", Type: TypeNS, Class: ClassIN}}
 	rd, _ := NameRData("ns.example.com")
 	m.Answers = append(m.Answers, RR{Name: "www.example.com", Type: TypeNS, Class: ClassIN, TTL: 60, RData: rd})
-	b, err := m.Encode()
+	b, err := m.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestNameCompressionShrinksMessage(t *testing.T) {
 
 func TestRootNameEncoding(t *testing.T) {
 	q := NewQuery(3, ".", TypeNS)
-	b, err := q.Encode()
+	b, err := q.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRootNameEncoding(t *testing.T) {
 
 func TestTrailingDotNormalized(t *testing.T) {
 	q := NewQuery(4, "example.com.", TypeA)
-	b, err := q.Encode()
+	b, err := q.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestEncodeErrors(t *testing.T) {
 	}
 	m := NewQuery(1, "x", TypeA)
 	m.Answers = []RR{{Name: "x", Type: TypeTXT, Class: ClassIN, RData: make([]byte, 70000)}}
-	if _, err := m.Encode(); err == nil {
+	if _, err := m.EncodeInto(nil); err == nil {
 		t.Error("oversized rdata accepted")
 	}
 }
@@ -200,7 +200,7 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	// Forward-pointing compression pointer must be rejected.
 	q := NewQuery(1, "example.com", TypeA)
-	enc, _ := q.Encode()
+	enc, _ := q.EncodeInto(nil)
 	enc[12] = 0xC0
 	enc[13] = 0xFF // points past itself
 	if _, err := Decode(enc); err == nil {
@@ -271,7 +271,7 @@ func TestFullMessageRoundTripProperty(t *testing.T) {
 		for i := 0; i < rng.Intn(3); i++ {
 			m.Authority = append(m.Authority, RR{Name: randName(), Type: TypeNS, Class: ClassIN, TTL: 3600, RData: mustNameRData(t, randName())})
 		}
-		b, err := m.Encode()
+		b, err := m.EncodeInto(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 	}
 	// And mutated valid messages.
 	q := NewQuery(1, "www.example.com", TypeA)
-	enc, _ := q.Encode()
+	enc, _ := q.EncodeInto(nil)
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 2000; i++ {
 		mut := append([]byte{}, enc...)
@@ -377,7 +377,7 @@ func TestEDNSRoundTrip(t *testing.T) {
 		t.Fatalf("payload = %d", q.MaxUDPPayload())
 	}
 	// Survives the wire.
-	b, err := q.Encode()
+	b, err := q.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 
 func ExampleNewQuery() {
 	q := dnswire.NewQuery(0x1234, "com", dnswire.TypeNS)
-	wire, err := q.Encode()
+	wire, err := q.EncodeInto(nil)
 	if err != nil {
 		panic(err)
 	}

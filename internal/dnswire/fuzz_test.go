@@ -11,13 +11,13 @@ import (
 // corpus under testdata/fuzz/FuzzDecode.
 func FuzzDecode(f *testing.F) {
 	q := NewQuery(99, "example.com", TypeA)
-	if enc, err := q.Encode(); err == nil {
+	if enc, err := q.EncodeInto(nil); err == nil {
 		f.Add(enc)
 	}
 	resp := NewQuery(100, "net", TypeNS)
 	resp.Header.Response = true
 	resp.Answers = []RR{{Name: "net", Type: TypeNS, Class: ClassIN, TTL: 172800, RData: []byte{1, 'a', 0}}}
-	if enc, err := resp.Encode(); err == nil {
+	if enc, err := resp.EncodeInto(nil); err == nil {
 		f.Add(enc)
 	}
 	f.Add([]byte{})
@@ -35,7 +35,7 @@ func FuzzDecode(f *testing.F) {
 			// a literal '.', which re-splits differently; compression can
 			// make an oversized name fit on the wire), but when it
 			// succeeds the result must decode again.
-			if enc, encErr := m.Encode(); encErr == nil {
+			if enc, encErr := m.EncodeInto(nil); encErr == nil {
 				if _, err2 := Decode(enc); err2 != nil {
 					t.Fatalf("re-encoded message does not re-decode: %v", err2)
 				}
@@ -59,12 +59,12 @@ func FuzzDecode(f *testing.F) {
 func FuzzScanMatchesDecode(f *testing.F) {
 	q := NewQuery(99, "example.com", TypeA)
 	q.SetEDNS(4096, true)
-	if enc, err := q.Encode(); err == nil {
+	if enc, err := q.EncodeInto(nil); err == nil {
 		f.Add(enc)
 	}
 	resp := NewResponse(q, RCodeNXDomain, nil)
 	resp.Authority = []RR{{Name: ".", Type: TypeSOA, Class: ClassIN, TTL: 86400, RData: []byte{0, 0}}}
-	if enc, err := resp.Encode(); err == nil {
+	if enc, err := resp.EncodeInto(nil); err == nil {
 		f.Add(enc)
 		f.Add(enc[:len(enc)-3])
 	}

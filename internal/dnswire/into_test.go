@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestEncodeIntoMatchesEncode byte-compares EncodeInto against Encode
-// across message shapes while reusing one deliberately dirty scratch
-// buffer: name-compression pointers are message-relative, so any
-// contamination from a previous encode would corrupt later packets.
+// TestEncodeIntoMatchesEncode byte-compares EncodeInto into a fresh
+// buffer against EncodeInto into one deliberately dirty scratch buffer,
+// reused across message shapes: name-compression pointers are
+// message-relative, so any contamination from a previous encode would
+// corrupt later packets.
 func TestEncodeIntoMatchesEncode(t *testing.T) {
 	scratch := bytes.Repeat([]byte{0xEE}, 2048)
 	for i := 0; i < 50; i++ {
@@ -27,7 +28,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 		}
 		msgs = append(msgs, ref)
 		for mi, m := range msgs {
-			fresh, err := m.Encode()
+			fresh, err := m.EncodeInto(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +37,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(fresh, reused) {
-				t.Fatalf("iter %d msg %d: EncodeInto differs from Encode", i, mi)
+				t.Fatalf("iter %d msg %d: reused buffer differs from fresh", i, mi)
 			}
 			scratch = reused
 		}
@@ -47,7 +48,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 // abandoned for a fresh allocation, not overflowed.
 func TestEncodeIntoSmallBuffer(t *testing.T) {
 	q := NewQuery(1, "example.test", TypeA)
-	want, err := q.Encode()
+	want, err := q.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,7 +240,7 @@ func TestScanCountsLikeDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	var inputs [][]byte
 	for len(inputs) < 300 {
-		enc, err := oracleMessage(rng).Encode()
+		enc, err := oracleMessage(rng).EncodeInto(nil)
 		if err != nil {
 			continue
 		}

@@ -26,7 +26,7 @@ func buildCapture(t *testing.T, n int) []byte {
 		payload[i] = byte(i * 7)
 	}
 	for i := 0; i < n; i++ {
-		pkt, err := pcapio.SerializeUDP(&pcapio.IPv4{Src: ipaddr.Addr(0x0a000001 + i), Dst: 0xc6290004},
+		pkt, err := pcapio.SerializeUDPInto(nil, &pcapio.IPv4{Src: ipaddr.Addr(0x0a000001 + i), Dst: 0xc6290004},
 			&pcapio.UDP{SrcPort: uint16(30000 + i), DstPort: 53}, payload)
 		if err != nil {
 			t.Fatal(err)

@@ -11,7 +11,7 @@
 //   - stdlib only, safe under -race: metric updates are single atomic
 //     operations; handles are created once at package init.
 //   - zero-allocation-cheap when disabled: metric increments never
-//     allocate, and StartSpan returns an inert zero Span without touching
+//     allocate, and StartSpanCtx returns an inert zero Span without touching
 //     the clock or runtime.MemStats unless tracing is enabled.
 //   - deterministic-output-safe: nothing in this package feeds back into
 //     simulation randomness or results; instrumented runs are
@@ -41,7 +41,6 @@ type Registry struct {
 
 	spanMu sync.Mutex
 	spans  []SpanRecord
-	stack  []int
 	clock  int64 // virtual-free monotonic origin (set on first span)
 
 	// peakHeap is the largest HeapAlloc observed at a span boundary or
@@ -62,7 +61,7 @@ func NewRegistry() *Registry {
 // state).
 func (r *Registry) Enable() { r.enabled.Store(true) }
 
-// Disable turns span collection off; subsequent StartSpan calls are
+// Disable turns span collection off; subsequent StartSpanCtx calls are
 // no-ops.
 func (r *Registry) Disable() { r.enabled.Store(false) }
 
@@ -331,7 +330,6 @@ func (r *Registry) Reset() {
 
 	r.spanMu.Lock()
 	r.spans = nil
-	r.stack = nil
 	r.clock = 0
 	r.spanMu.Unlock()
 	r.peakHeap.Store(0)

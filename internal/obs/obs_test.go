@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"sort"
 	"strings"
@@ -151,29 +152,30 @@ func TestHistogramEmpty(t *testing.T) {
 func TestSpanNesting(t *testing.T) {
 	r := NewRegistry()
 	r.Enable()
-	outer := r.StartSpan("outer")
-	inner1 := r.StartSpan("inner1")
+	ctx, outer := r.StartSpanCtx(context.Background(), "outer")
+	_, inner1 := r.StartSpanCtx(ctx, "inner1")
 	inner1.End()
-	inner2 := r.StartSpan("inner2")
-	deep := r.StartSpan("deep")
+	ictx, inner2 := r.StartSpanCtx(ctx, "inner2")
+	_, deep := r.StartSpanCtx(ictx, "deep")
 	deep.End()
 	inner2.End()
 	outer.End()
 
 	spans := r.Spans()
 	want := []struct {
-		name  string
-		depth int
+		name   string
+		depth  int
+		parent int64
 	}{
-		{"outer", 0}, {"inner1", 1}, {"inner2", 1}, {"deep", 2},
+		{"outer", 0, 0}, {"inner1", 1, outer.ID()}, {"inner2", 1, outer.ID()}, {"deep", 2, inner2.ID()},
 	}
 	if len(spans) != len(want) {
 		t.Fatalf("got %d spans, want %d", len(spans), len(want))
 	}
 	for i, w := range want {
-		if spans[i].Name != w.name || spans[i].Depth != w.depth {
-			t.Errorf("span %d = %q depth %d, want %q depth %d",
-				i, spans[i].Name, spans[i].Depth, w.name, w.depth)
+		if spans[i].Name != w.name || spans[i].Depth != w.depth || spans[i].Parent != w.parent {
+			t.Errorf("span %d = %q depth %d parent %d, want %q depth %d parent %d",
+				i, spans[i].Name, spans[i].Depth, spans[i].Parent, w.name, w.depth, w.parent)
 		}
 		if !spans[i].done {
 			t.Errorf("span %q not marked done", spans[i].Name)
@@ -193,8 +195,12 @@ func TestSpanNesting(t *testing.T) {
 
 func TestSpanDisabledIsInert(t *testing.T) {
 	r := NewRegistry()
-	sp := r.StartSpan("nothing")
+	ctx := context.Background()
+	got, sp := r.StartSpanCtx(ctx, "nothing")
 	sp.End()
+	if got != ctx {
+		t.Error("disabled StartSpanCtx returned a new context")
+	}
 	if _, ok := sp.Record(); ok {
 		t.Error("disabled span produced a record")
 	}
@@ -202,11 +208,11 @@ func TestSpanDisabledIsInert(t *testing.T) {
 		t.Errorf("disabled registry collected %d spans", len(r.Spans()))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		s := r.StartSpan("hot")
+		_, s := r.StartSpanCtx(ctx, "hot")
 		s.End()
 	})
 	if allocs != 0 {
-		t.Errorf("disabled StartSpan/End allocates %v bytes/op, want 0", allocs)
+		t.Errorf("disabled StartSpanCtx/End allocates %v bytes/op, want 0", allocs)
 	}
 }
 
@@ -251,7 +257,8 @@ func TestReset(t *testing.T) {
 	h := r.NewHistogram("r.hist")
 	c.Inc()
 	h.Observe(3)
-	r.StartSpan("stage").End()
+	_, sp := r.StartSpanCtx(context.Background(), "stage")
+	sp.End()
 	r.Reset()
 	if c.Value() != 0 || h.Count() != 0 || len(r.Spans()) != 0 {
 		t.Errorf("reset left state: counter=%d hist=%d spans=%d",
@@ -281,8 +288,8 @@ func TestDuplicateNamePanics(t *testing.T) {
 func TestWriteTrace(t *testing.T) {
 	r := NewRegistry()
 	r.Enable()
-	outer := r.StartSpan("world.build")
-	inner := r.StartSpan("world.topology")
+	ctx, outer := r.StartSpanCtx(context.Background(), "world.build")
+	_, inner := r.StartSpanCtx(ctx, "world.topology")
 	inner.End()
 	outer.End()
 	var sb strings.Builder
@@ -357,7 +364,7 @@ func TestHeapAccounting(t *testing.T) {
 		t.Errorf("fresh registry peak heap = %d, want 0", r.PeakHeapBytes())
 	}
 	r.Enable()
-	sp := r.StartSpan("alloc.stage")
+	_, sp := r.StartSpanCtx(context.Background(), "alloc.stage")
 	sink := make([]byte, 1<<22)
 	sp.End()
 	if r.PeakHeapBytes() == 0 {

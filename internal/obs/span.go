@@ -15,10 +15,8 @@ type SpanRecord struct {
 	// ID is the span's registry-unique identifier (1-based; 0 is never a
 	// valid ID, so it doubles as "no span" in Parent).
 	ID int64
-	// Parent is the ID of the enclosing span, or 0 for a root span. For
-	// spans started with StartSpanCtx the parent is carried by the
-	// context; for plain StartSpan it is the innermost span open on the
-	// registry's legacy nesting stack.
+	// Parent is the ID of the enclosing span (the one carried by the
+	// context passed to StartSpanCtx), or 0 for a root span.
 	Parent int64
 	// Name identifies the stage, dot-scoped by subsystem
 	// ("world.topology", "bgp.catchments", "experiment.fig2a").
@@ -61,41 +59,14 @@ func (s Span) ID() int64 { return int64(s.idx) }
 // from different registries still disambiguate through Span.r.
 type ctxKey struct{}
 
-// ContextWithSpan returns a context carrying s as the current span.
-// Carrying the zero Span is allowed and marks "no parent".
-func ContextWithSpan(ctx context.Context, s Span) context.Context {
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// SpanFromContext returns the span carried by ctx, or the zero Span.
-func SpanFromContext(ctx context.Context) Span {
-	s, _ := ctx.Value(ctxKey{}).(Span)
-	return s
-}
-
-// StartSpan begins a traced stage on the default registry.
-func StartSpan(name string) Span { return Default.StartSpan(name) }
-
 // StartSpanCtx begins a traced stage on the default registry as a child
 // of the span carried by ctx (if any), and returns a context carrying the
-// new span. Unlike StartSpan it never consults the registry's legacy
-// nesting stack, so concurrent goroutines each threading their own
-// context build the correct span tree. When tracing is disabled it
-// returns ctx unchanged and the inert zero Span, without allocating.
+// new span. Parentage travels with the context, so concurrent goroutines
+// each threading their own context build the correct span tree. When
+// tracing is disabled it returns ctx unchanged and the inert zero Span,
+// without reading the clock or memory statistics or allocating.
 func StartSpanCtx(ctx context.Context, name string) (context.Context, Span) {
 	return Default.StartSpanCtx(ctx, name)
-}
-
-// StartSpan begins a traced stage. When tracing is disabled it returns
-// the inert zero Span without reading the clock or memory statistics.
-// The parent is the innermost span still open on the registry's shared
-// nesting stack — correct for single-goroutine call trees; concurrent
-// stages should use StartSpanCtx instead.
-func (r *Registry) StartSpan(name string) Span {
-	if !r.enabled.Load() {
-		return Span{}
-	}
-	return r.startSpan(name, -1, true)
 }
 
 // StartSpanCtx begins a traced stage parented to the span carried by ctx
@@ -106,18 +77,15 @@ func (r *Registry) StartSpanCtx(ctx context.Context, name string) (context.Conte
 		return ctx, Span{}
 	}
 	parent := int64(0)
-	if p := SpanFromContext(ctx); p.r == r {
+	if p, _ := ctx.Value(ctxKey{}).(Span); p.r == r {
 		parent = p.ID()
 	}
-	s := r.startSpan(name, parent, false)
-	return ContextWithSpan(ctx, s), s
+	s := r.startSpan(name, parent)
+	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
-// startSpan appends one span record. parent < 0 means "derive the parent
-// from the legacy nesting stack"; onStack additionally pushes the new
-// span onto that stack (context spans stay off it: they are popped by
-// identity in End, and concurrent pushes would corrupt sibling depths).
-func (r *Registry) startSpan(name string, parent int64, onStack bool) Span {
+// startSpan appends one span record under parent (0 for a root span).
+func (r *Registry) startSpan(name string, parent int64) Span {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	r.noteHeap(ms.HeapAlloc)
@@ -131,13 +99,7 @@ func (r *Registry) startSpan(name string, parent int64, onStack bool) Span {
 	}
 	idx := len(r.spans)
 	depth := 0
-	if parent < 0 {
-		parent = 0
-		if n := len(r.stack); n > 0 {
-			parent = int64(r.stack[n-1]) + 1
-		}
-		depth = len(r.stack)
-	} else if parent > 0 {
+	if parent > 0 {
 		depth = r.spans[parent-1].Depth + 1
 	}
 	r.spans = append(r.spans, SpanRecord{
@@ -149,9 +111,6 @@ func (r *Registry) startSpan(name string, parent int64, onStack bool) Span {
 		startAlloc: ms.TotalAlloc,
 		startHeap:  ms.HeapAlloc,
 	})
-	if onStack {
-		r.stack = append(r.stack, idx)
-	}
 	r.spanMu.Unlock()
 	return Span{r: r, idx: idx + 1}
 }
@@ -176,15 +135,6 @@ func (s Span) End() {
 			rec.AllocBytes = ms.TotalAlloc - rec.startAlloc
 		}
 		rec.HeapDeltaBytes = int64(ms.HeapAlloc) - int64(rec.startHeap)
-		// Pop this span (and anything left open above it) off the
-		// nesting stack so sibling spans report the right depth. Context
-		// spans were never pushed, so the scan is a no-op for them.
-		for i := len(r.stack) - 1; i >= 0; i-- {
-			if r.stack[i] == s.idx-1 {
-				r.stack = r.stack[:i]
-				break
-			}
-		}
 	}
 	r.spanMu.Unlock()
 }

@@ -12,11 +12,11 @@ import (
 func benchPacket(b *testing.B) []byte {
 	b.Helper()
 	q := dnswire.NewQuery(77, "www.example.com", dnswire.TypeA)
-	payload, err := q.Encode()
+	payload, err := q.EncodeInto(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pkt, err := SerializeUDP(&IPv4{Src: 0x01020304, Dst: 0x05060708}, &UDP{SrcPort: 4096, DstPort: 53}, payload)
+	pkt, err := SerializeUDPInto(nil, &IPv4{Src: 0x01020304, Dst: 0x05060708}, &UDP{SrcPort: 4096, DstPort: 53}, payload)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func BenchmarkSerializeUDP(b *testing.B) {
 	b.SetBytes(int64(20 + 8 + len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SerializeUDP(&IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: 1, DstPort: 53}, payload); err != nil {
+		if _, err := SerializeUDPInto(nil, &IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: 1, DstPort: 53}, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ func FuzzReaderNext(f *testing.F) {
 	}
 	base := time.Date(2018, 4, 10, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 3; i++ {
-		pkt, err := SerializeUDP(&IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: uint16(i), DstPort: 53}, []byte{byte(i)})
+		pkt, err := SerializeUDPInto(nil, &IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: uint16(i), DstPort: 53}, []byte{byte(i)})
 		if err != nil {
 			f.Fatal(err)
 		}

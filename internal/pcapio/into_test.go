@@ -38,7 +38,7 @@ func TestSerializeIntoMatchesFresh(t *testing.T) {
 		}
 		if trial%2 == 0 {
 			udp := &UDP{SrcPort: uint16(rng.Int()), DstPort: 53}
-			fresh, err := SerializeUDP(ip, udp, payload)
+			fresh, err := SerializeUDPInto(nil, ip, udp, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestSerializeIntoMatchesFresh(t *testing.T) {
 				Seq: rng.Uint32(), Ack: rng.Uint32(),
 				Flags: uint8(rng.Intn(32)),
 			}
-			fresh, err := SerializeTCP(ip, tcp, payload)
+			fresh, err := SerializeTCPInto(nil, ip, tcp, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestSerializeIntoGrowsSmallBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SerializeUDP(ip, &UDP{SrcPort: 1000, DstPort: 53}, payload)
+	want, err := SerializeUDPInto(nil, ip, &UDP{SrcPort: 1000, DstPort: 53}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestWriterPooledReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkt, err := SerializeUDP(&IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: uint16(round + 1), DstPort: 53}, []byte{byte(round)})
+		pkt, err := SerializeUDPInto(nil, &IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: uint16(round + 1), DstPort: 53}, []byte{byte(round)})
 		if err != nil {
 			t.Fatal(err)
 		}

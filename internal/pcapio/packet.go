@@ -111,15 +111,10 @@ func serializeBuf(buf []byte, total int) []byte {
 	return b
 }
 
-// SerializeUDP builds a full IPv4+UDP packet with valid checksums.
-func SerializeUDP(ip *IPv4, udp *UDP, payload []byte) ([]byte, error) {
-	return SerializeUDPInto(nil, ip, udp, payload)
-}
-
-// SerializeUDPInto is SerializeUDP writing into buf's storage (ignoring
-// its contents) when capacity allows, so hot emitters can reuse one
-// buffer per packet instead of allocating. The returned slice may alias
-// buf.
+// SerializeUDPInto builds a full IPv4+UDP packet with valid checksums,
+// writing into buf's storage (ignoring its contents) when capacity
+// allows, so hot emitters can reuse one buffer per packet instead of
+// allocating; a nil buf allocates. The returned slice may alias buf.
 func SerializeUDPInto(buf []byte, ip *IPv4, udp *UDP, payload []byte) ([]byte, error) {
 	udpLen := 8 + len(payload)
 	total := 20 + udpLen
@@ -142,14 +137,10 @@ func SerializeUDPInto(buf []byte, ip *IPv4, udp *UDP, payload []byte) ([]byte, e
 	return b, nil
 }
 
-// SerializeTCP builds a full IPv4+TCP packet (20-byte TCP header, no
-// options) with valid checksums.
-func SerializeTCP(ip *IPv4, tcp *TCP, payload []byte) ([]byte, error) {
-	return SerializeTCPInto(nil, ip, tcp, payload)
-}
-
-// SerializeTCPInto is SerializeTCP writing into buf's storage (ignoring
-// its contents) when capacity allows. The returned slice may alias buf.
+// SerializeTCPInto builds a full IPv4+TCP packet (20-byte TCP header, no
+// options) with valid checksums, writing into buf's storage (ignoring its
+// contents) when capacity allows; a nil buf allocates. The returned slice
+// may alias buf.
 func SerializeTCPInto(buf []byte, ip *IPv4, tcp *TCP, payload []byte) ([]byte, error) {
 	tcpLen := 20 + len(payload)
 	total := 20 + tcpLen

@@ -24,7 +24,7 @@ func buildCapture(t *testing.T, n int) ([]byte, [][]byte) {
 	base := time.Date(2018, 4, 10, 0, 0, 0, 0, time.UTC)
 	var pkts [][]byte
 	for i := 0; i < n; i++ {
-		pkt, err := SerializeUDP(&IPv4{Src: ipaddr.Addr(0x0a000001 + i), Dst: 0xc6290004},
+		pkt, err := SerializeUDPInto(nil, &IPv4{Src: ipaddr.Addr(0x0a000001 + i), Dst: 0xc6290004},
 			&UDP{SrcPort: uint16(40000 + i), DstPort: 53}, []byte{byte(i), byte(i + 1)})
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +46,7 @@ func TestWriterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := SerializeUDP(&IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: 1, DstPort: 53}, []byte("x"))
+	pkt, err := SerializeUDPInto(nil, &IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: 1, DstPort: 53}, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestUDPRoundTrip(t *testing.T) {
 	src := mustAddr(t, "192.0.2.10")
 	dst := mustAddr(t, "198.41.0.4")
 	payload := []byte("hello dns")
-	b, err := SerializeUDP(&IPv4{Src: src, Dst: dst, ID: 77}, &UDP{SrcPort: 4096, DstPort: 53}, payload)
+	b, err := SerializeUDPInto(nil, &IPv4{Src: src, Dst: dst, ID: 77}, &UDP{SrcPort: 4096, DstPort: 53}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestUDPRoundTrip(t *testing.T) {
 func TestTCPRoundTrip(t *testing.T) {
 	src := mustAddr(t, "10.200.1.1") // private ok at this layer
 	dst := mustAddr(t, "8.8.8.8")
-	b, err := SerializeTCP(&IPv4{Src: src, Dst: dst, TTL: 50},
+	b, err := SerializeTCPInto(nil, &IPv4{Src: src, Dst: dst, TTL: 50},
 		&TCP{SrcPort: 33000, DstPort: 53, Seq: 1000, Ack: 2000, Flags: FlagSYN | FlagACK}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Error("expected empty payload")
 	}
 	// With payload.
-	b2, err := SerializeTCP(&IPv4{Src: src, Dst: dst}, &TCP{SrcPort: 1, DstPort: 2, Flags: FlagPSH | FlagACK}, []byte("data"))
+	b2, err := SerializeTCPInto(nil, &IPv4{Src: src, Dst: dst}, &TCP{SrcPort: 1, DstPort: 2, Flags: FlagPSH | FlagACK}, []byte("data"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestTCPRoundTrip(t *testing.T) {
 
 func TestDNSInsideUDP(t *testing.T) {
 	q := dnswire.NewQuery(55, "com", dnswire.TypeNS)
-	dnsBytes, err := q.Encode()
+	dnsBytes, err := q.EncodeInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SerializeUDP(&IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: 5353, DstPort: 53}, dnsBytes)
+	b, err := SerializeUDPInto(nil, &IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: 5353, DstPort: 53}, dnsBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Errorf("v6 err = %v", err)
 	}
 	// Corrupt checksum.
-	good, err := SerializeUDP(&IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: 1, DstPort: 2}, []byte("x"))
+	good, err := SerializeUDPInto(nil, &IPv4{Src: 1, Dst: 2}, &UDP{SrcPort: 1, DstPort: 2}, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestDecodeNeverPanicsOnFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	good, err := SerializeUDP(&IPv4{Src: 0x01020304, Dst: 0x05060708}, &UDP{SrcPort: 53, DstPort: 53}, []byte("payload"))
+	good, err := SerializeUDPInto(nil, &IPv4{Src: 0x01020304, Dst: 0x05060708}, &UDP{SrcPort: 53, DstPort: 53}, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestPcapRoundTrip(t *testing.T) {
 	var want []Record
 	for i := 0; i < 50; i++ {
 		payload := []byte{byte(i)}
-		pkt, err := SerializeUDP(&IPv4{Src: ipaddr.Addr(i), Dst: 99}, &UDP{SrcPort: uint16(i), DstPort: 53}, payload)
+		pkt, err := SerializeUDPInto(nil, &IPv4{Src: ipaddr.Addr(i), Dst: 99}, &UDP{SrcPort: uint16(i), DstPort: 53}, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,10 +291,10 @@ func TestWriterRejectsOversized(t *testing.T) {
 }
 
 func TestSerializeRejectsHuge(t *testing.T) {
-	if _, err := SerializeUDP(&IPv4{}, &UDP{}, make([]byte, 70000)); err == nil {
+	if _, err := SerializeUDPInto(nil, &IPv4{}, &UDP{}, make([]byte, 70000)); err == nil {
 		t.Error("oversized UDP accepted")
 	}
-	if _, err := SerializeTCP(&IPv4{}, &TCP{}, make([]byte, 70000)); err == nil {
+	if _, err := SerializeTCPInto(nil, &IPv4{}, &TCP{}, make([]byte, 70000)); err == nil {
 		t.Error("oversized TCP accepted")
 	}
 }
@@ -302,7 +302,7 @@ func TestSerializeRejectsHuge(t *testing.T) {
 func TestChecksumKnownVector(t *testing.T) {
 	// RFC 1071 example-style check: a header whose checksum field is
 	// filled must verify to zero.
-	b, err := SerializeUDP(&IPv4{Src: 0x0a0b0c0d, Dst: 0x01020304}, &UDP{SrcPort: 9, DstPort: 10}, []byte("xyz"))
+	b, err := SerializeUDPInto(nil, &IPv4{Src: 0x0a0b0c0d, Dst: 0x01020304}, &UDP{SrcPort: 9, DstPort: 10}, []byte("xyz"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,15 +38,15 @@ const (
 	PhaseDITLTCP       Phase = 9  // ditl.Build TCP handshake medians
 	PhaseDITLEgress    Phase = 10 // ditl.Build egress IP draws
 	PhaseDITLJunk      Phase = 11 // ditl.Build junk-source blocks
-	PhaseCaptureJunk   Phase = 12 // EmitSiteCapture junk packets
-	PhaseCaptureRec    Phase = 13 // EmitSiteCapture per-recursive packets
+	PhaseCaptureJunk   Phase = 12 // EmitSiteCaptureCtx junk packets
+	PhaseCaptureRec    Phase = 13 // EmitSiteCaptureCtx per-recursive packets
 	PhaseAffinity      Phase = 14 // Campaign.Affinity per-recursive flaps
 	PhaseAtlasDeploy   Phase = 15 // atlas.Deploy probe placement
 	PhaseAtlasPing     Phase = 16 // atlas.Ping per-probe samples
 	PhaseCDNBuild      Phase = 17 // cdn.Build PoP jitter
 	PhaseCDNPeering    Phase = 18 // cdn.Build per-eyeball peering rolls
-	PhaseCDNServerLogs Phase = 19 // cdn.ServerSideLogs per-(ring,AS) rows
-	PhaseCDNClient     Phase = 20 // cdn.ClientMeasurements per-(ring,AS) rows
+	PhaseCDNServerLogs Phase = 19 // cdn.ServerSideLogsCtx per-(ring,AS) rows
+	PhaseCDNClient     Phase = 20 // cdn.ClientMeasurementsCtx per-(ring,AS) rows
 	PhaseCDNCounts     Phase = 21 // users.BuildCDNCounts per-recursive draws
 	PhaseAPNIC         Phase = 22 // users.BuildAPNICCounts per-AS noise
 	PhaseClientPalette Phase = 23 // dnssim.NewClient TLD palette

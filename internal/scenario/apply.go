@@ -81,6 +81,10 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 	ctx, span := obs.StartSpanCtx(ctx, "scenario.apply")
 	defer span.End()
 	seed := base.Cfg.Seed
+	// Population, Letters and CDN add host ASes to the graph: clone it after them.
+	if err := base.Demand(ctx, world.ClassicStages()...); err != nil {
+		return nil, err
+	}
 	g2 := base.Graph().Clone()
 
 	letterIndex := func(name string) int {

@@ -15,9 +15,11 @@ import (
 	"anycastctx/internal/world"
 )
 
+// buildWorld creates a base world without materializing any stage:
+// scenario evaluation must demand whatever it reads from the base itself.
 func buildWorld(t *testing.T, scale float64) *world.World {
 	t.Helper()
-	w, err := world.Build(context.Background(), world.Config{Seed: 1, Scale: scale})
+	w, err := world.New(world.Config{Seed: 1, Scale: scale})
 	if err != nil {
 		t.Fatalf("world build at scale %g: %v", scale, err)
 	}

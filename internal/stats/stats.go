@@ -143,9 +143,6 @@ func (c *CDF) Mean() float64 {
 // experience more than X ms" statistic.
 func (c *CDF) FractionAbove(x float64) float64 { return 1 - c.P(x) }
 
-// FractionAtOrBelow returns P(X <= x).
-func (c *CDF) FractionAtOrBelow(x float64) float64 { return c.P(x) }
-
 // Point is one (x, P(X<=x)) sample of the CDF curve.
 type Point struct {
 	X float64

@@ -54,7 +54,7 @@ func TestColdWarmByteIdentity(t *testing.T) {
 	for _, sc := range scales {
 		dir := t.TempDir()
 		cfg := Config{Seed: 1, Scale: sc, CacheDir: dir}
-		cold, err := Build(context.Background(), cfg)
+		cold, err := New(cfg)
 		if err != nil {
 			t.Fatalf("scale %g: cold build: %v", sc, err)
 		}
@@ -65,7 +65,7 @@ func TestColdWarmByteIdentity(t *testing.T) {
 				old := runtime.GOMAXPROCS(procs)
 				defer runtime.GOMAXPROCS(old)
 			}
-			warm, err := Build(context.Background(), cfg)
+			warm, err := New(cfg)
 			if err != nil {
 				t.Fatalf("scale %g procs %d: warm build: %v", sc, procs, err)
 			}
@@ -120,7 +120,7 @@ func TestKeysIgnoreCacheDir(t *testing.T) {
 func TestCorruptArtifactRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Seed: 1, Scale: 0.05, CacheDir: dir}
-	cold, err := Build(context.Background(), cfg)
+	cold, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestCorruptArtifactRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := Build(context.Background(), cfg)
+	warm, err := New(cfg)
 	if err != nil {
 		t.Fatalf("warm build over corrupt store: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestCorruptArtifactRecovery(t *testing.T) {
 		}
 	}
 	// The recompute path re-saves: a third build must load everything.
-	again, err := Build(context.Background(), cfg)
+	again, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestCorruptArtifactRecovery(t *testing.T) {
 func TestOverlayIsolationStoreBacked(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Seed: 1, Scale: 0.05, CacheDir: dir}
-	base, err := Build(context.Background(), cfg)
+	base, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +239,8 @@ func TestOverlayIsolationStoreBacked(t *testing.T) {
 	// Overlay join computes fresh (its cell was reset) and must not land
 	// in the store: the base's join artifact would be silently replaced
 	// by overlay-shaped data.
-	_ = ov.Join()
-	if ov.Join() == base.Join() {
+	_ = ov.JoinCtx(context.Background())
+	if ov.JoinCtx(context.Background()) == base.JoinCtx(context.Background()) {
 		t.Error("overlay join aliases the base join")
 	}
 

@@ -36,10 +36,11 @@ import (
 	"anycastctx/internal/users"
 )
 
-// Observability handles. Stage work is spanned under "world.<stage>"
-// (grouped under "world.build" for a classic full build); the gauges
-// describe the last world materialized in this process. Per-stage
-// hit/miss/compute counters live in stages.go.
+// Observability handles. Stage work is spanned under "world.<stage>",
+// parented to the span of whichever caller demanded it; world.builds
+// counts worlds created and the gauges describe the last world
+// materialized in this process. Per-stage hit/miss/compute counters live
+// in stages.go.
 var (
 	obsBuilds     = obs.NewCounter("world.builds")
 	obsRegions    = obs.NewGauge("world.regions")
@@ -111,7 +112,7 @@ func (c Config) withDefaults() Config {
 // value by the offending string, so a bad CI variable is visible exactly
 // once per distinct value — not suppressed for the rest of the process
 // after the first build warned (a once-guard here used to hide the
-// warning from every later Build, including ones with a different bad
+// warning from every later world, including ones with a different bad
 // value). scaleWarnTo is swapped by the regression test.
 var scaleWarn = struct {
 	mu   sync.Mutex
@@ -242,24 +243,7 @@ func New(cfg Config) (*World, error) {
 		}
 		w.store = st
 	}
-	return w, nil
-}
-
-// Build constructs the classic eager world: every stage the monolithic
-// build used to compute, in one call. The span context parents the
-// "world.build" phase tree; pass context.Background() when not tracing.
-// Demand-driven callers use New + Demand instead.
-func Build(ctx context.Context, cfg Config) (*World, error) {
-	w, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctx, build := obs.StartSpanCtx(ctx, "world.build")
-	defer build.End()
 	obsBuilds.Inc()
-	if err := w.Demand(ctx, ClassicStages()...); err != nil {
-		return nil, err
-	}
 	return w, nil
 }
 
@@ -298,8 +282,8 @@ func (w *World) materialize(ctx context.Context, id stage.ID) error {
 }
 
 // must backs the accessors: every error-capable stage is demanded through
-// Build or Demand first, whose errors callers handle, so an accessor
-// reaching a failed or unreachable stage is a programming error.
+// Demand first, whose errors callers handle, so an accessor reaching a
+// failed or unreachable stage is a programming error.
 func (w *World) must(id stage.ID) {
 	if err := w.materialize(context.Background(), id); err != nil {
 		panic(fmt.Sprintf("world: stage %s: %v", id, err))
@@ -368,16 +352,11 @@ func (w *World) ClientRowsCtx(ctx context.Context) ([]cdn.ClientMeasurementRow, 
 	return w.clientRows, nil
 }
 
-// Join returns the /24-level DITL∩CDN join, computed lazily and cached.
-// The stage cell makes the lazy fill safe when experiments run
-// concurrently (RunAllParallel); the join itself is deterministic, so
+// JoinCtx returns the /24-level DITL∩CDN join, computed lazily and
+// cached; ctx parents the join computation when this caller is the one
+// that fills the cell. The stage cell makes the lazy fill safe when
+// experiments run concurrently; the join itself is deterministic, so
 // which caller computes it never affects results.
-func (w *World) Join() *ditl.Join {
-	return w.JoinCtx(context.Background())
-}
-
-// JoinCtx is Join with the caller's span context carried into the join
-// computation when this caller is the one that fills the cell.
 func (w *World) JoinCtx(ctx context.Context) *ditl.Join {
 	if err := w.materialize(ctx, stage.Join); err != nil {
 		panic(fmt.Sprintf("world: stage %s: %v", stage.Join, err))

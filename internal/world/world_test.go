@@ -5,11 +5,22 @@ import (
 	"testing"
 )
 
-func TestBuildTestScale(t *testing.T) {
-	w, err := Build(context.Background(), TestScale(2))
+// build creates a world and materializes every classic stage, the set a
+// test reading the world directly expects to be live.
+func build(t *testing.T, cfg Config) *World {
+	t.Helper()
+	w, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Demand(context.Background(), ClassicStages()...); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func TestBuildTestScale(t *testing.T) {
+	w := build(t, TestScale(2))
 	if len(w.Regions()) != 508 {
 		t.Errorf("regions = %d", len(w.Regions()))
 	}
@@ -32,13 +43,13 @@ func TestBuildTestScale(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(context.Background(), Config{Seed: 1, Scale: -1}); err == nil {
+	if _, err := New(Config{Seed: 1, Scale: -1}); err == nil {
 		t.Error("negative scale accepted")
 	}
-	if _, err := Build(context.Background(), Config{Seed: 1, Scale: 1.5}); err == nil {
+	if _, err := New(Config{Seed: 1, Scale: 1.5}); err == nil {
 		t.Error("scale > 1 accepted")
 	}
-	if _, err := Build(context.Background(), Config{Seed: 1, Year: 2019}); err == nil {
+	if _, err := New(Config{Seed: 1, Year: 2019}); err == nil {
 		t.Error("unknown year accepted")
 	}
 }
@@ -46,22 +57,16 @@ func TestBuildValidation(t *testing.T) {
 func TestBuild2020(t *testing.T) {
 	cfg := TestScale(3)
 	cfg.Year = DITL2020
-	w, err := Build(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := build(t, cfg)
 	if len(w.Letters()) != 7 {
 		t.Errorf("2020 letters = %d", len(w.Letters()))
 	}
 }
 
 func TestJoinCachedAndNonEmpty(t *testing.T) {
-	w, err := Build(context.Background(), TestScale(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1 := w.Join()
-	j2 := w.Join()
+	w := build(t, TestScale(4))
+	j1 := w.JoinCtx(context.Background())
+	j2 := w.JoinCtx(context.Background())
 	if j1 != j2 {
 		t.Error("join not cached")
 	}
@@ -83,14 +88,8 @@ func TestScaleInt(t *testing.T) {
 }
 
 func TestDeterministicBuild(t *testing.T) {
-	w1, err := Build(context.Background(), TestScale(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Build(context.Background(), TestScale(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1 := build(t, TestScale(9))
+	w2 := build(t, TestScale(9))
 	if len(w1.Pop().Recursives) != len(w2.Pop().Recursives) {
 		t.Fatal("population differs")
 	}

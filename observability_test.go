@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"anycastctx/internal/obs"
+	"anycastctx/internal/world"
 )
 
 // TestInstrumentationDoesNotChangeResults is the obs determinism
@@ -22,13 +23,13 @@ func TestInstrumentationDoesNotChangeResults(t *testing.T) {
 
 	runSet := func() map[string]Result {
 		t.Helper()
-		w, err := BuildWorld(TestScaleConfig(17))
+		w, err := newClassicWorld(TestScaleConfig(17))
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := make(map[string]Result, len(ids))
 		for _, id := range ids {
-			res, err := RunExperiment(w, id)
+			res, err := RunExperimentCtx(context.Background(), w, id)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -69,18 +70,26 @@ func TestExperimentSpansRecorded(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 
-	w, err := BuildWorld(TestScaleConfig(19))
+	ctx := context.Background()
+	w, err := NewWorld(TestScaleConfig(19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunExperiment(w, "fig2a"); err != nil {
+	// The stage spans nest under whichever span demanded them.
+	buildCtx, build := obs.StartSpanCtx(ctx, "run.build_world")
+	err = w.Demand(buildCtx, world.ClassicStages()...)
+	build.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunExperimentCtx(ctx, w, "fig2a"); err != nil {
 		t.Fatal(err)
 	}
 
 	var sawBuild, sawPhase, sawExp bool
 	for _, sp := range obs.Spans() {
 		switch {
-		case sp.Name == "world.build":
+		case sp.Name == "run.build_world":
 			sawBuild = true
 		case strings.HasPrefix(sp.Name, "world.") && sp.Depth > 0:
 			sawPhase = true
@@ -89,7 +98,7 @@ func TestExperimentSpansRecorded(t *testing.T) {
 		}
 	}
 	if !sawBuild || !sawPhase || !sawExp {
-		t.Errorf("spans missing: world.build=%v nested world phase=%v experiment.fig2a=%v",
+		t.Errorf("spans missing: run.build_world=%v nested world phase=%v experiment.fig2a=%v",
 			sawBuild, sawPhase, sawExp)
 	}
 }
@@ -97,12 +106,12 @@ func TestExperimentSpansRecorded(t *testing.T) {
 // TestPipelineMetricsRegistered asserts the acceptance-level coverage:
 // after a full run, named metrics exist for every pipeline stage family.
 func TestPipelineMetricsRegistered(t *testing.T) {
-	w, err := BuildWorld(TestScaleConfig(23))
+	w, err := newClassicWorld(TestScaleConfig(23))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Touch the measurement planes that experiments exercise lazily.
-	w.Join()
+	w.JoinCtx(context.Background())
 
 	snap := obs.TakeSnapshot()
 	names := snap.MetricNames()
@@ -129,7 +138,7 @@ func TestPipelineMetricsRegistered(t *testing.T) {
 	}
 }
 
-// TestRunAllAggregatesFailures verifies that RunAll returns every
+// TestRunAllAggregatesFailures verifies that RunAllCtx returns every
 // successful result alongside an error joining all failures.
 func TestRunAllAggregatesFailures(t *testing.T) {
 	w := testWorld(t)
@@ -144,12 +153,12 @@ func TestRunAllAggregatesFailures(t *testing.T) {
 		Run: func(ctx context.Context, w *World, seed int64) (Result, error) { return Result{}, errFail2 }})
 	defer func() { registry = registry[:n] }()
 
-	results, err := RunAll(w)
+	results, err := RunAllCtx(context.Background(), w, 1)
 	if err == nil {
-		t.Fatal("RunAll with failing experiments returned nil error")
+		t.Fatal("RunAllCtx with failing experiments returned nil error")
 	}
 	if len(results) != n {
-		t.Errorf("RunAll returned %d results, want %d successes", len(results), n)
+		t.Errorf("RunAllCtx returned %d results, want %d successes", len(results), n)
 	}
 	msg := err.Error()
 	if !strings.Contains(msg, "zz-fail-1") || !strings.Contains(msg, "zz-fail-2") {

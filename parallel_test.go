@@ -2,26 +2,30 @@ package anycastctx
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
+
+	"anycastctx/internal/obs"
 )
 
 // TestRunAllParallelMatchesSerial is the determinism regression test for
-// the concurrent runner and the route cache: a serial RunAll on one world
-// and a RunAllParallel on a second identically-seeded world — with every
+// the concurrent runner and the route cache: a serial RunAllCtx on one
+// world and a 4-worker RunAllCtx on a second identically-seeded world — with every
 // letter's route cache pre-warmed so cached and freshly computed routes
 // both appear — must produce byte-identical results.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a second world")
 	}
-	serial, err := RunAll(testWorld(t))
+	ctx := context.Background()
+	serial, err := RunAllCtx(ctx, testWorld(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	w2, err := BuildWorld(TestScaleConfig(3))
+	w2, err := newClassicWorld(TestScaleConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +33,9 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	// agree with serial ones whether they compute routes or read them back.
 	srcs := w2.Graph().Eyeballs()
 	for _, d := range w2.Letters() {
-		d.WarmRoutes(srcs)
+		d.WarmRoutesCtx(ctx, srcs)
 	}
-	par, err := RunAllParallel(w2, 4)
+	par, err := RunAllCtx(ctx, w2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,25 +58,36 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelFallsBackSerial checks the workers<=1 path delegates
-// to RunAll (including its counter-delta behavior) rather than spinning a
-// one-goroutine pool.
+// TestRunAllParallelFallsBackSerial checks that workers <= 1 takes the
+// serial path, the only one that attributes counter deltas per
+// experiment, and that a worker pool leaves them out. Two cheap
+// experiments stand in for the registry.
 func TestRunAllParallelFallsBackSerial(t *testing.T) {
 	w := testWorld(t)
-	one, err := RunAllParallel(w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := RunAll(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != len(all) {
-		t.Fatalf("workers=1 returned %d results, RunAll %d", len(one), len(all))
-	}
-	for i := range all {
-		if one[i].ID != all[i].ID || one[i].Output != all[i].Output {
-			t.Fatalf("%s: workers=1 output differs from RunAll", all[i].ID)
+	saved := registry
+	defer func() { registry = saved }()
+	registry = saved[:2]
+	obs.Enable()
+	defer obs.Disable()
+	for _, workers := range []int{0, 1, 4} {
+		results, err := RunAllCtx(context.Background(), w, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != len(registry) {
+			t.Fatalf("workers=%d returned %d results, want %d", workers, len(results), len(registry))
+		}
+		for i, r := range results {
+			if r.ID != registry[i].ID {
+				t.Fatalf("workers=%d result %d is %s, want %s", workers, i, r.ID, registry[i].ID)
+			}
+			if r.Stats == nil {
+				t.Fatalf("workers=%d %s: no stats with obs enabled", workers, r.ID)
+			}
+			if serial := workers <= 1; (r.Stats.CounterDeltas != nil) != serial {
+				t.Errorf("workers=%d %s: counter deltas present=%v, want %v",
+					workers, r.ID, r.Stats.CounterDeltas != nil, serial)
+			}
 		}
 	}
 }
@@ -97,13 +112,13 @@ func TestParallelLoopsMatchSerialOracle(t *testing.T) {
 	build := func(procs int) probe {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		w, err := BuildWorld(TestScaleConfig(5))
+		w, err := newClassicWorld(TestScaleConfig(5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var p probe
 		for _, id := range []string{"fig2a", "fig3", "fig11"} {
-			res, err := RunExperiment(w, id)
+			res, err := RunExperimentCtx(context.Background(), w, id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +133,7 @@ func TestParallelLoopsMatchSerialOracle(t *testing.T) {
 		}
 		li, site := busiestLetterSite(w)
 		var buf bytes.Buffer
-		if _, err := w.Campaign().EmitSiteCapture(&buf, li, site, 2000, 9); err != nil {
+		if _, err := w.Campaign().EmitSiteCaptureCtx(context.Background(), &buf, li, site, 2000, 9); err != nil {
 			t.Fatal(err)
 		}
 		p.capture = buf.Bytes()

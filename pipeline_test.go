@@ -6,6 +6,7 @@ package anycastctx
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"anycastctx/internal/ditl"
@@ -40,7 +41,7 @@ func TestCapturePipelineEndToEnd(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	n, err := w.Campaign().EmitSiteCapture(&buf, li, busiest, 5000, 77)
+	n, err := w.Campaign().EmitSiteCaptureCtx(context.Background(), &buf, li, busiest, 5000, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestCaptureReferralsCarryGlue(t *testing.T) {
 	w := testWorld(t)
 	var buf bytes.Buffer
 	li := w.Campaign().LetterIndex("C")
-	if _, err := w.Campaign().EmitSiteCapture(&buf, li, 0, 4000, 78); err != nil {
+	if _, err := w.Campaign().EmitSiteCaptureCtx(context.Background(), &buf, li, 0, 4000, 78); err != nil {
 		t.Fatal(err)
 	}
 	pr, err := pcapio.NewReader(bytes.NewReader(buf.Bytes()))

@@ -71,14 +71,14 @@ func TestNeedsDeclared(t *testing.T) {
 }
 
 // TestDemandDrivenMatchesEagerBuild: every experiment must produce
-// byte-identical output whether its world was eagerly built (the classic
-// monolith behavior, via Build) or materialized lazily from a fresh
+// byte-identical output whether its world was eagerly built (every
+// classic stage demanded up front) or materialized lazily from a fresh
 // shell. This is the sufficiency oracle for the Needs declarations — an
 // under-declared stage would still materialize through its accessor, but
 // any ordering dependence between stages would diverge here.
 func TestDemandDrivenMatchesEagerBuild(t *testing.T) {
 	ctx := context.Background()
-	eager, err := BuildWorld(TestScaleConfig(11))
+	eager, err := newClassicWorld(TestScaleConfig(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestWarmWorldMatchesCold(t *testing.T) {
 	dir := t.TempDir()
 	cfg := TestScaleConfig(11)
 	cfg.CacheDir = dir
-	cold, err := BuildWorld(cfg)
+	cold, err := newClassicWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldRes, err := RunAllCtx(ctx, cold)
+	coldRes, err := RunAllCtx(ctx, cold, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestWarmWorldMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRes, err := RunAllCtx(ctx, warm)
+	warmRes, err := RunAllCtx(ctx, warm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
