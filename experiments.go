@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -185,6 +186,11 @@ func runMeasured(ctx context.Context, w *World, e Experiment, withDeltas bool) (
 	if err := w.Demand(ctx, e.Needs...); err != nil {
 		return Result{}, fmt.Errorf("materializing stages for %s: %w", e.ID, err)
 	}
+	// CPU profiles attribute the run, and its par.DoCtx workers, to an
+	// "experiment" label (what pprof.Do does around a closure).
+	defer pprof.SetGoroutineLabels(ctx)
+	ctx = pprof.WithLabels(ctx, pprof.Labels("experiment", e.ID))
+	pprof.SetGoroutineLabels(ctx)
 	if !obs.Enabled() {
 		return e.Run(ctx, w, seed)
 	}

@@ -130,6 +130,15 @@ func (d *Deployment) SharesResolver(o *Deployment) bool { return d.resolver == o
 // global site nearest to loc, or (-1, 0) if the deployment has none.
 // Ties go to the lowest site ID.
 func (d *Deployment) ClosestGlobalSite(loc geo.Coord) (int, float64) {
+	id := d.ClosestGlobalSiteID(loc)
+	if id < 0 {
+		return -1, 0
+	}
+	return id, geo.DistanceKm(loc, d.Sites[id].Loc)
+}
+
+// ClosestGlobalSiteID is ClosestGlobalSite's ID alone: no haversine.
+func (d *Deployment) ClosestGlobalSiteID(loc geo.Coord) int {
 	d.globalOnce.Do(func() {
 		var locs []geo.Coord
 		for _, s := range d.Sites {
@@ -140,11 +149,10 @@ func (d *Deployment) ClosestGlobalSite(loc geo.Coord) (int, float64) {
 		}
 		d.globalIdx = geo.NewIndex(locs)
 	})
-	i, km := d.globalIdx.Nearest(loc)
-	if i < 0 {
-		return -1, 0
+	if i := d.globalIdx.Closest(geo.NewPoint(loc)); i >= 0 {
+		return d.globalIDs[i]
 	}
-	return d.globalIDs[i], km
+	return -1
 }
 
 // LetterSpec describes one root letter's deployment.
@@ -208,7 +216,7 @@ var TCPLatencyLetters2018 = map[string]bool{
 // are, Fig 7b), local sites at random regions, and each site gets a host AS
 // whose upstreams are nearby transits plus a tier-1.
 func BuildLetter(g *topology.Graph, spec LetterSpec, rng *rand.Rand) (*Deployment, error) {
-	return buildLetter(g, spec, rng, regionsByWeight(g.Regions))
+	return buildLetter(g, spec, rng, HeaviestRegions(g.Regions))
 }
 
 // buildLetter is BuildLetter with the weight-sorted region list hoisted
@@ -234,7 +242,7 @@ func buildLetter(g *topology.Graph, spec LetterSpec, rng *rand.Rand, regions []g
 			if sharedHost == nil {
 				sharedHost = g.AddHostAS(
 					fmt.Sprintf("root-%s-partner", spec.Letter),
-					loc, nearbyUpstreams(g, loc, rng), clamp01(spec.Openness*1.3))
+					loc, NearbyUpstreams(g, loc, rng), clamp01(spec.Openness*1.3))
 				sharedHost.Presence = sharedHost.Presence[:0]
 			}
 			sharedHost.Presence = append(sharedHost.Presence, loc)
@@ -243,7 +251,7 @@ func buildLetter(g *topology.Graph, spec LetterSpec, rng *rand.Rand, regions []g
 		} else {
 			h := g.AddHostAS(
 				fmt.Sprintf("root-%s-site-%d", spec.Letter, i),
-				loc, nearbyUpstreams(g, loc, rng), spec.Openness)
+				loc, NearbyUpstreams(g, loc, rng), spec.Openness)
 			host = h.ASN
 		}
 		sites = append(sites, bgp.Site{ID: len(sites), Loc: loc, Host: host, Global: true})
@@ -255,7 +263,7 @@ func buildLetter(g *topology.Graph, spec LetterSpec, rng *rand.Rand, regions []g
 		loc := geo.Jitter(r.Center, 120, rng.Float64(), rng.Float64())
 		h := g.AddHostAS(
 			fmt.Sprintf("root-%s-local-%d", spec.Letter, i),
-			loc, nearbyUpstreams(g, loc, rng), spec.Openness*0.5)
+			loc, NearbyUpstreams(g, loc, rng), spec.Openness*0.5)
 		sites = append(sites, bgp.Site{ID: len(sites), Loc: loc, Host: h.ASN, Global: false})
 	}
 	res, err := bgp.NewResolver(g, sites)
@@ -267,7 +275,7 @@ func buildLetter(g *topology.Graph, spec LetterSpec, rng *rand.Rand, regions []g
 
 // BuildLetters builds all letters in spec order.
 func BuildLetters(g *topology.Graph, specs []LetterSpec, rng *rand.Rand) ([]*Deployment, error) {
-	regions := regionsByWeight(g.Regions)
+	regions := HeaviestRegions(g.Regions)
 	out := make([]*Deployment, 0, len(specs))
 	for _, s := range specs {
 		d, err := buildLetter(g, s, rng, regions)
@@ -293,52 +301,48 @@ func NewDeployment(g *topology.Graph, name string, sites []bgp.Site) (*Deploymen
 }
 
 // NearbyUpstreams picks the provider mix BuildLetter gives site hosts:
-// 1-2 transits with presence near loc plus one tier-1. Exported for
-// what-if scenario mutations that add sites to a built deployment.
+// 1-2 transits with presence near loc plus one tier-1, mirroring how
+// site hosts buy local transit. What-if mutations that add sites to a
+// built deployment call it too.
 func NearbyUpstreams(g *topology.Graph, loc geo.Coord, rng *rand.Rand) []topology.ASN {
-	return nearbyUpstreams(g, loc, rng)
+	type cand struct {
+		asn topology.ASN
+		key float64
+	}
+	q := geo.NewPoint(loc)
+	cands := make([]cand, len(g.Transits()))
+	for i, tn := range g.Transits() {
+		cands[i] = cand{tn, g.AS(tn).PresenceRank(q)}
+	}
+	// nearer compares rank keys, and km only inside the tie window.
+	nearer := func(a, b cand) bool {
+		if c := geo.CompareRank(a.key, b.key); c != 0 {
+			return c < 0
+		}
+		_, da := g.AS(a.asn).NearestPresence(loc)
+		_, db := g.AS(b.asn).NearestPresence(loc)
+		return da < db
+	}
+	// Partial selection of the n nearest (first position wins ties).
+	n := min(1+rng.Intn(2), len(cands))
+	ups := make([]topology.ASN, 0, n+1)
+	for i := 0; i < n; i++ {
+		m := i
+		for j := i + 1; j < len(cands); j++ {
+			if nearer(cands[j], cands[m]) {
+				m = j
+			}
+		}
+		cands[i], cands[m] = cands[m], cands[i]
+		ups = append(ups, cands[i].asn)
+	}
+	t1s := g.Tier1s()
+	return append(ups, t1s[rng.Intn(len(t1s))])
 }
 
 // HeaviestRegions returns regions sorted by population weight, heaviest
 // first — the order BuildLetter places global sites in.
 func HeaviestRegions(regions []geo.Region) []geo.Region {
-	return regionsByWeight(regions)
-}
-
-// nearbyUpstreams picks 1-2 transits with presence near loc plus one
-// tier-1, mirroring how site hosts buy local transit.
-func nearbyUpstreams(g *topology.Graph, loc geo.Coord, rng *rand.Rand) []topology.ASN {
-	type cand struct {
-		asn topology.ASN
-		d   float64
-	}
-	var cands []cand
-	for _, tn := range g.Transits() {
-		_, d := g.AS(tn).NearestPresence(loc)
-		cands = append(cands, cand{tn, d})
-	}
-	// Partial selection of the 3 nearest.
-	for i := 0; i < 3 && i < len(cands); i++ {
-		min := i
-		for j := i + 1; j < len(cands); j++ {
-			if cands[j].d < cands[min].d {
-				min = j
-			}
-		}
-		cands[i], cands[min] = cands[min], cands[i]
-	}
-	ups := []topology.ASN{}
-	n := 1 + rng.Intn(2)
-	for i := 0; i < n && i < len(cands); i++ {
-		ups = append(ups, cands[i].asn)
-	}
-	t1s := g.Tier1s()
-	ups = append(ups, t1s[rng.Intn(len(t1s))])
-	return ups
-}
-
-// regionsByWeight returns regions sorted by population, heaviest first.
-func regionsByWeight(regions []geo.Region) []geo.Region {
 	out := make([]geo.Region, len(regions))
 	copy(out, regions)
 	// Stable sort by weight descending, ID ascending — a total order, so

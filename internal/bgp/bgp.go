@@ -615,7 +615,7 @@ func (r *Resolver) routeViaTransit(S *topology.AS, vis []bool, memo []hostMemo, 
 		obsDeepDecisions.Inc()
 	}
 	P := r.g.AS(p)
-	pi, _ := P.NearestPresence(S.Loc)
+	pi := P.ClosestPresence(S.Loc)
 	entry := P.Presence[pi]
 	dists := r.transitRow(p)
 
@@ -679,7 +679,7 @@ func (r *Resolver) routeViaTransit(S *topology.AS, vis []bool, memo []hostMemo, 
 		// any candidate in its cone becomes best): no reset in between.
 		for _, n := range ns {
 			U := r.g.AS(n.u)
-			ui, _ := U.NearestPresence(entry)
+			ui := U.ClosestPresence(entry)
 			uEntry := U.Presence[ui]
 			best, bestKey := -1, math.Inf(1)
 			var bestIx geo.Coord
@@ -717,13 +717,13 @@ func (r *Resolver) routeViaTransit(S *topology.AS, vis []bool, memo []hostMemo, 
 			}
 		}
 		T := r.g.AS(r.preferredTier1(p))
-		ti, _ := T.NearestPresence(entry)
+		ti := T.ClosestPresence(entry)
 		mid := T.Presence[ti]
 		host := r.g.AS(best.Host)
 		up := host.Loc
 		if len(host.Providers) > 0 {
 			if U := r.g.AS(host.Providers[0]); U != nil {
-				ui, _ := U.NearestPresence(best.Loc)
+				ui := U.ClosestPresence(best.Loc)
 				up = U.Presence[ui]
 			}
 		}

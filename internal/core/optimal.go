@@ -22,7 +22,7 @@ func OptimalRoute(g *topology.Graph, d *anycastnet.Deployment, src topology.ASN)
 	if S == nil {
 		return bgp.Route{}, false
 	}
-	id, _ := d.ClosestGlobalSite(S.Loc)
+	id := d.ClosestGlobalSiteID(S.Loc)
 	if id < 0 {
 		return bgp.Route{}, false
 	}

@@ -82,24 +82,6 @@ func KmForGeoRTTMs(ms float64) float64 {
 	return ms * FiberKmPerMs / 2
 }
 
-// Midpoint returns the spherical midpoint of a and b. It is used to place
-// aggregate locations (e.g. the mean location of users in a region).
-func Midpoint(a, b Coord) Coord {
-	const degToRad = math.Pi / 180
-	const radToDeg = 180 / math.Pi
-	lat1 := a.Lat * degToRad
-	lon1 := a.Lon * degToRad
-	lat2 := b.Lat * degToRad
-	dLon := (b.Lon - a.Lon) * degToRad
-
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return Coord{Lat: lat * radToDeg, Lon: normalizeLon(lon * radToDeg)}
-}
-
 func normalizeLon(lon float64) float64 {
 	for lon > 180 {
 		lon -= 360

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,14 +19,36 @@ func bruteNearest(pts []Coord, c Coord) (int, float64) {
 	return best, bestKm
 }
 
+// bruteWithin is the direct scan Within replaces.
+func bruteWithin(pts []Coord, c Coord, km float64) bool {
+	for _, p := range pts {
+		if DistanceKm(c, p) < km {
+			return true
+		}
+	}
+	return false
+}
+
 // checkNearest requires the index to agree with the brute-force scan bit
-// for bit, position and km alike.
+// for bit, position and km alike, in Nearest and Closest. Within must
+// agree at the peering radii and on both sides of the nearest km itself,
+// the tightest radius there is: nothing lies strictly within it, and the
+// nearest point lies within the next float above it.
 func checkNearest(t *testing.T, name string, ix *Index, pts []Coord, c Coord) {
 	t.Helper()
 	gi, gkm := ix.Nearest(c)
 	wi, wkm := bruteNearest(pts, c)
 	if gi != wi || math.Float64bits(gkm) != math.Float64bits(wkm) {
 		t.Errorf("%s: Nearest(%v) = (%d, %v), brute force (%d, %v)", name, c, gi, gkm, wi, wkm)
+	}
+	q := NewPoint(c)
+	if got := ix.Closest(q); got != wi {
+		t.Errorf("%s: Closest(%v) = %d, brute force %d", name, c, got, wi)
+	}
+	for _, km := range []float64{500, 1500, 3000, wkm, math.Nextafter(wkm, math.Inf(1))} {
+		if got, want := ix.Within(q, km), bruteWithin(pts, c, km); got != want {
+			t.Errorf("%s: Within(%v, %v) = %v, brute force %v", name, c, km, got, want)
+		}
 	}
 }
 
@@ -146,6 +169,121 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 			}
 			checkNearest(t, "random", ix, pts, c)
 		}
+	}
+}
+
+// destination returns the point km along the great circle from c at the
+// given bearing (radians from north).
+func destination(c Coord, bearing, km float64) Coord {
+	const degToRad = math.Pi / 180
+	lat1, lon1, d := c.Lat*degToRad, c.Lon*degToRad, km/EarthRadiusKm
+	lat2 := math.Asin(math.Sin(lat1)*math.Cos(d) + math.Cos(lat1)*math.Sin(d)*math.Cos(bearing))
+	lon2 := lon1 + math.Atan2(math.Sin(bearing)*math.Sin(d)*math.Cos(lat1), math.Cos(d)-math.Sin(lat1)*math.Sin(lat2))
+	return Coord{Lat: lat2 / degToRad, Lon: normalizeLon(lon2 / degToRad)}
+}
+
+// TestWithinAtRadii places points a hair inside and outside the peering
+// radii — 1e-6 km either side, and the adjacent pair of latitudes whose
+// haversine straddles the radius exactly — and checks Within, on an
+// index and on a single Point, against the haversine.
+func TestWithinAtRadii(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		c := Coord{Lat: 120*rng.Float64() - 60, Lon: 360*rng.Float64() - 180}
+		q := NewPoint(c)
+		for _, km := range []float64{500, 1500, 3000} {
+			// Bisect the meridian north of c down to the two adjacent
+			// latitudes on either side of DistanceKm == km.
+			lo, hi := c.Lat, c.Lat+2*km/EarthRadiusKm*180/math.Pi
+			for math.Nextafter(lo, hi) < hi {
+				mid := lo + (hi-lo)/2
+				if mid == lo || mid == hi {
+					break
+				}
+				if DistanceKm(c, Coord{Lat: mid, Lon: c.Lon}) < km {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			b := rng.Float64() * 2 * math.Pi
+			for _, p := range []Coord{
+				destination(c, b, km-1e-6), destination(c, b, km+1e-6),
+				{Lat: lo, Lon: c.Lon}, {Lat: hi, Lon: c.Lon},
+			} {
+				want := DistanceKm(c, p) < km
+				if got := NewPoint(p).Within(q, km); got != want {
+					t.Errorf("Point%v.Within(%v, %v) = %v, haversine %v km", p, c, km, got, DistanceKm(c, p))
+				}
+				if got := NewIndex([]Coord{p}).Within(q, km); got != want {
+					t.Errorf("Index{%v}.Within(%v, %v) = %v, haversine %v km", p, c, km, got, DistanceKm(c, p))
+				}
+			}
+			pts := []Coord{destination(c, b, km+1e-6), {Lat: hi, Lon: c.Lon}, {Lat: hi, Lon: c.Lon}, destination(c, b+1, km-1e-6)}
+			for n := range pts {
+				checkNearest(t, "radius", NewIndex(pts[:n]), pts[:n], c)
+			}
+		}
+	}
+}
+
+func TestWithinRadiusEdges(t *testing.T) {
+	pts := []Coord{{0, 0}, {0, 180}, {10, 10}}
+	ix := NewIndex(pts)
+	for _, km := range []float64{math.NaN(), math.Inf(-1), -1, 0, 1e-9, 20015, math.Pi * EarthRadiusKm, 20016, 1e9, math.Inf(1)} {
+		for _, c := range []Coord{{0, 0}, {0, -180}, {-10, -170}, {45, 90}} {
+			if got, want := ix.Within(NewPoint(c), km), bruteWithin(pts, c, km); got != want {
+				t.Errorf("Within(%v, %v) = %v, brute force %v", c, km, got, want)
+			}
+			if got, want := NewPoint(pts[1]).Within(NewPoint(c), km), bruteWithin(pts[1:2], c, km); got != want {
+				t.Errorf("Point%v.Within(%v, %v) = %v, brute force %v", pts[1], c, km, got, want)
+			}
+		}
+	}
+	if NewIndex(nil).Within(NewPoint(Coord{}), math.Inf(1)) {
+		t.Error("empty index reports a point within +Inf km")
+	}
+	if i := NewIndex(nil).Closest(NewPoint(Coord{})); i != -1 {
+		t.Errorf("empty index Closest = %d, want -1", i)
+	}
+}
+
+// TestCompareRankOrdersSets checks that whenever CompareRank decides, it
+// agrees strictly with the two sets' nearest km, on clustered sets whose
+// keys often fall in the tie window.
+func TestCompareRankOrdersSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	centers := []Coord{{48.85, 2.35}, {-33.87, 151.21}, {40.71, -74.01}}
+	set := func() []Coord {
+		pts := make([]Coord, 1+rng.Intn(4))
+		for i := range pts {
+			pts[i] = Jitter(centers[rng.Intn(len(centers))], math.Pow(10, -6+7*rng.Float64()), rng.Float64(), rng.Float64())
+		}
+		return pts
+	}
+	decided := 0
+	for trial := 0; trial < 2000; trial++ {
+		a, b := set(), set()
+		if trial%4 == 0 {
+			b = append(b, a[0])
+		}
+		c := Jitter(centers[rng.Intn(len(centers))], 3000*rng.Float64(), rng.Float64(), rng.Float64())
+		q := NewPoint(c)
+		got := CompareRank(NewIndex(a).Rank(q), NewIndex(b).Rank(q))
+		_, ka := bruteNearest(a, c)
+		_, kb := bruteNearest(b, c)
+		if got != 0 {
+			decided++
+			if want := cmp.Compare(ka, kb); got != want {
+				t.Fatalf("CompareRank = %d, nearest km %v vs %v", got, ka, kb)
+			}
+		}
+	}
+	if decided == 0 {
+		t.Error("CompareRank never decided")
+	}
+	if got := CompareRank(NewIndex(nil).Rank(NewPoint(Coord{})), 0); got != 1 {
+		t.Errorf("empty set ranks %d against a point, want 1 (farther)", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/bgp"
 	"anycastctx/internal/cdn"
+	"anycastctx/internal/core"
 	"anycastctx/internal/dnssim"
 	"anycastctx/internal/geo"
 	"anycastctx/internal/obs"
@@ -512,19 +513,13 @@ func ringKeeps(c *cdn.CDN, oldSize, newSize int, cdnPeer bool, cdnDirty map[topo
 		// some new front-end is strictly nearer to that point. (The all-
 		// tie d≥3 branch always keeps site 0; over-dirtying there only
 		// costs a re-resolution, never correctness.)
-		pops := c.PoPs
+		pops, grown := c.PoPs, geo.NewIndex(c.PoPs[oldSize:newSize])
 		keeps = append(keeps, func(src topology.ASN, rt bgp.Route, ok bool) bool {
 			if !ok {
 				return false
 			}
 			ref := rt.Waypoints[len(rt.Waypoints)-2]
-			cur := geo.DistanceKm(ref, pops[rt.SiteID])
-			for i := oldSize; i < newSize; i++ {
-				if geo.DistanceKm(ref, pops[i]) < cur {
-					return false
-				}
-			}
-			return true
+			return !grown.Within(geo.NewPoint(ref), geo.DistanceKm(ref, pops[rt.SiteID]))
 		})
 	}
 	if cdnPeer {
@@ -539,23 +534,15 @@ func ringKeeps(c *cdn.CDN, oldSize, newSize int, cdnPeer bool, cdnDirty map[topo
 // within 1000 km (operators deploy where uncovered users are), jittered
 // like BuildLetter's global sites.
 func placeSite(g2 *topology.Graph, baseSites []bgp.Site, added []addedSite, u1, u2 float64) geo.Coord {
+	locs := core.GlobalSiteLocs(baseSites)
+	for _, a := range added {
+		locs = append(locs, a.loc)
+	}
+	sites := geo.NewIndex(locs)
 	regions := anycastnet.HeaviestRegions(g2.Regions)
 	pick := regions[0]
 	for _, r := range regions {
-		covered := false
-		for _, s := range baseSites {
-			if s.Global && geo.DistanceKm(r.Center, s.Loc) < 1000 {
-				covered = true
-				break
-			}
-		}
-		for _, a := range added {
-			if geo.DistanceKm(r.Center, a.loc) < 1000 {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if !sites.Within(geo.NewPoint(r.Center), 1000) {
 			pick = r
 			break
 		}

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"anycastctx/internal/geo"
@@ -75,7 +77,8 @@ func TestPeeredMatchesReference(t *testing.T) {
 		g.Peer(e, cdn.ASN)
 	}
 
-	var peered, filtered int
+	var peered int
+	branches := map[string]int{}
 	all := g.All()
 	for _, a := range all {
 		for _, b := range all {
@@ -87,14 +90,82 @@ func TestPeeredMatchesReference(t *testing.T) {
 				peered++
 			}
 			A, B := g.AS(a), g.AS(b)
-			if A.Class != ClassTier1 && B.Class != ClassTier1 &&
-				g.PairUnit(a, b) >= A.PeeringRichness*B.PeeringRichness {
-				filtered++
+			if a == b || A.Class == ClassTier1 || B.Class == ClassTier1 || A.explicitPeer(B) {
+				continue
+			}
+			p, u := A.PeeringRichness*B.PeeringRichness, g.PairUnit(a, b)
+			switch {
+			case u >= p:
+				branches["pre-filtered"]++
+			case u < p*0.02:
+				branches["shortcut"]++
+			case u < p*0.25:
+				branches["3000 km"]++
+			case u < p*0.6:
+				branches["1500 km"]++
+			default:
+				branches["500 km"]++
 			}
 		}
 	}
-	// Both sides of the pre-filter must be exercised.
-	if peered == 0 || filtered == 0 {
-		t.Errorf("peered pairs %d, pre-filtered pairs %d: want both > 0", peered, filtered)
+	// Every branch of Peered must be exercised, with both outcomes.
+	for _, br := range []string{"pre-filtered", "shortcut", "3000 km", "1500 km", "500 km"} {
+		if branches[br] == 0 {
+			t.Errorf("no pair took the %s branch (%v)", br, branches)
+		}
+	}
+	if peered == 0 {
+		t.Error("no pair peered")
+	}
+}
+
+// refTransitsNear is transitsNear as it was written before rank keys:
+// one haversine per transit and region, sorted by km then ASN.
+func refTransitsNear(g *Graph, regions []geo.Region) [][]ASN {
+	out := make([][]ASN, len(regions))
+	for ri, r := range regions {
+		type cand struct {
+			asn ASN
+			d   float64
+		}
+		var cands []cand
+		for _, tn := range g.Transits() {
+			_, d := g.AS(tn).NearestPresence(r.Center)
+			cands = append(cands, cand{tn, d})
+		}
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].d != cands[j].d {
+				return cands[i].d < cands[j].d
+			}
+			return cands[i].asn < cands[j].asn
+		})
+		for _, c := range cands {
+			out[ri] = append(out[ri], c.asn)
+		}
+	}
+	return out
+}
+
+func TestTransitsNearMatchesReference(t *testing.T) {
+	for _, seed := range []int64{1, 7, 13} {
+		g, err := New(Config{Seed: seed, NumTier1: 6, NumTransit: 150, NumEyeball: 50}, testRegions(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := g.transitsNear(g.Regions), refTransitsNear(g, g.Regions); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: transitsNear differs from the haversine reference", seed)
+		}
+		// Sub-millimetre near-ties: move every other transit's home a
+		// hair off its predecessor's, so their rank keys fall inside the
+		// tie window for every region and only the km can order them.
+		tr := g.Transits()
+		for i := 1; i < len(tr); i += 2 {
+			prev, a := g.AS(tr[i-1]), g.AS(tr[i])
+			a.Presence[0] = geo.Coord{Lat: prev.Presence[0].Lat + float64(i%5-2)*1e-9, Lon: prev.Presence[0].Lon}
+			a.InvalidatePresence()
+		}
+		if got, want := g.transitsNear(g.Regions), refTransitsNear(g, g.Regions); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: with near-ties, transitsNear differs from the haversine reference", seed)
+		}
 	}
 }

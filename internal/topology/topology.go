@@ -11,9 +11,11 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -83,6 +85,10 @@ type AS struct {
 	// shorter of the two ends' lists.
 	peers []ASN
 
+	// loc is Loc with its unit vector, set when the AS joins a graph
+	// (Loc never changes after that): peering tests from it cost no trig.
+	loc geo.Point
+
 	// pidx caches the nearest-point index over Presence. Built lazily
 	// (racing builders store identical values, so the atomic swap is
 	// safe); InvalidatePresence must be called after mutating Presence.
@@ -91,24 +97,44 @@ type AS struct {
 
 // InvalidatePresence drops the cached presence index; callers that mutate
 // Presence after construction (deployment builders sharing a host AS)
-// must call it before the next NearestPresence.
+// must call it before the next presence query.
 func (a *AS) InvalidatePresence() { a.pidx.Store(nil) }
 
-// NearestPresence returns the position in Presence of the point closest
-// to c and its distance in km (first point wins ties); callers that need
-// the point read a.Presence[i]. Every BGP route resolution calls it per
-// candidate AS, so multi-presence ASes answer from a cached geo.Index
-// rather than a haversine per point.
-func (a *AS) NearestPresence(c geo.Coord) (int, float64) {
-	if len(a.Presence) == 1 {
-		return 0, geo.DistanceKm(c, a.Presence[0])
-	}
+// presence returns the cached nearest-point index over Presence.
+func (a *AS) presence() *geo.Index {
 	idx := a.pidx.Load()
 	if idx == nil {
 		idx = geo.NewIndex(a.Presence)
 		a.pidx.Store(idx)
 	}
-	return idx.Nearest(c)
+	return idx
+}
+
+// NearestPresence returns the position in Presence of the point closest
+// to c and its distance in km (first point wins ties); callers that need
+// the point read a.Presence[i]. Multi-presence ASes answer from a cached
+// geo.Index rather than a haversine per point.
+func (a *AS) NearestPresence(c geo.Coord) (int, float64) {
+	if len(a.Presence) == 1 {
+		return 0, geo.DistanceKm(c, a.Presence[0])
+	}
+	return a.presence().Nearest(c)
+}
+
+// ClosestPresence is NearestPresence's position alone: no haversine.
+func (a *AS) ClosestPresence(c geo.Coord) int { return a.presence().Closest(geo.NewPoint(c)) }
+
+// PresenceRank returns the geo.Index.Rank key of Presence for q: larger
+// keys are nearer, as geo.CompareRank decides.
+func (a *AS) PresenceRank(q geo.Point) float64 { return a.presence().Rank(q) }
+
+// presenceWithin reports whether some presence point lies strictly
+// within km of q, exactly as testing NearestPresence(q)'s km < km.
+func (a *AS) presenceWithin(q geo.Point, km float64) bool {
+	if len(a.Presence) == 1 && a.Presence[0] == a.Loc {
+		return a.loc.Within(q, km)
+	}
+	return a.presence().Within(q, km)
 }
 
 // Config controls graph generation.
@@ -334,31 +360,37 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 	return g, nil
 }
 
-// transitsNear returns, per region index, transits sorted by distance.
+// transitsNear returns, per region index, transits sorted by distance
+// (ties to the lower ASN). Rank keys order them; only a run of keys
+// within the tie window of each other is priced and re-sorted by km.
 func (g *Graph) transitsNear(regions []geo.Region) [][]ASN {
+	type cand struct {
+		asn     ASN
+		key, km float64
+	}
 	out := make([][]ASN, len(regions))
+	cands := make([]cand, len(g.transits))
 	for ri, r := range regions {
-		type cand struct {
-			asn ASN
-			d   float64
+		q := geo.NewPoint(r.Center)
+		for i, tn := range g.transits {
+			cands[i] = cand{asn: tn, key: g.AS(tn).PresenceRank(q)}
 		}
-		cands := make([]cand, 0, len(g.transits))
-		for _, tn := range g.transits {
-			t := g.AS(tn)
-			_, d := t.NearestPresence(r.Center)
-			cands = append(cands, cand{tn, d})
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].d != cands[j].d {
-				return cands[i].d < cands[j].d
+		slices.SortFunc(cands, func(a, b cand) int { return cmp.Or(cmp.Compare(b.key, a.key), cmp.Compare(a.asn, b.asn)) })
+		for i, j := 0, 1; i < len(cands); i, j = j, j+1 {
+			for j < len(cands) && geo.CompareRank(cands[j-1].key, cands[j].key) == 0 {
+				j++
 			}
-			return cands[i].asn < cands[j].asn
-		})
-		asns := make([]ASN, len(cands))
-		for i, c := range cands {
-			asns[i] = c.asn
+			if run := cands[i:j]; len(run) > 1 {
+				for k := range run {
+					_, run[k].km = g.AS(run[k].asn).NearestPresence(r.Center)
+				}
+				slices.SortFunc(run, func(a, b cand) int { return cmp.Or(cmp.Compare(a.km, b.km), cmp.Compare(a.asn, b.asn)) })
+			}
 		}
-		out[ri] = asns
+		out[ri] = make([]ASN, len(cands))
+		for i, c := range cands {
+			out[ri][i] = c.asn
+		}
 	}
 	return out
 }
@@ -404,6 +436,7 @@ const firstASN = 100
 // add registers as under the next ASN in sequence.
 func (g *Graph) add(as *AS) {
 	as.ASN = firstASN + ASN(len(g.ases))
+	as.loc = geo.NewPoint(as.Loc)
 	g.ases = append(g.ases, as)
 	g.order = append(g.order, as.ASN)
 }
@@ -472,7 +505,7 @@ func (g *Graph) Len() int { return len(g.order) }
 // AddHostAS creates a host AS at loc (home region inferred) with the given
 // upstream providers and peering richness, registering it in the graph.
 func (g *Graph) AddHostAS(name string, loc geo.Coord, providers []ASN, richness float64) *AS {
-	ri, _ := g.regionIdx.Nearest(loc)
+	ri := g.regionIdx.Closest(geo.NewPoint(loc))
 	as := &AS{
 		Class:           ClassHost,
 		Name:            name,
@@ -541,6 +574,7 @@ func (g *Graph) Clone() *Graph {
 			Org:             a.Org,
 			Region:          a.Region,
 			Loc:             a.Loc,
+			loc:             a.loc,
 			Presence:        append([]geo.Coord(nil), a.Presence...),
 			Providers:       append([]ASN(nil), a.Providers...),
 			PeeringRichness: a.PeeringRichness,
@@ -588,36 +622,29 @@ func (g *Graph) Peered(a, b ASN) bool {
 	if A.Class == ClassTier1 || B.Class == ClassTier1 {
 		return false
 	}
-	// implicitPeerProb only scales the richness product down (every
-	// distance penalty is ≤ 1, and rounding x·f for f ≤ 1 cannot exceed
-	// x), so a deviate at or above the product fails either way: skip
-	// the distance.
-	u := g.PairUnit(a, b)
-	if u >= A.PeeringRichness*B.PeeringRichness {
-		return false
-	}
-	return u < g.implicitPeerProb(A, B)
-}
-
-// implicitPeerProb returns the probability that A and B peer.
-func (g *Graph) implicitPeerProb(A, B *AS) float64 {
+	// The pair peers when u falls below p scaled by a distance penalty:
+	// 1 within 500 km, 0.6 within 1500, 0.25 within 3000, else 0.02.
+	// Rounded p·f is monotone in f, so u alone picks the one radius to
+	// test, and no nearest distance is needed.
 	p := A.PeeringRichness * B.PeeringRichness
-	// Require rough geographic co-presence: peering happens at IXPs.
-	_, d := B.NearestPresence(A.Loc)
-	if A.Class != ClassEyeball && B.Class == ClassEyeball {
-		_, d = A.NearestPresence(B.Loc)
-	}
+	u := g.PairUnit(a, b)
+	km := 500.0
 	switch {
-	case d < 500:
-		// fully local: no penalty
-	case d < 1500:
-		p *= 0.6
-	case d < 3000:
-		p *= 0.25
-	default:
-		p *= 0.02
+	case u >= p:
+		return false
+	case u < p*0.02:
+		return true
+	case u < p*0.25:
+		km = 3000
+	case u < p*0.6:
+		km = 1500
 	}
-	return p
+	// Peering happens at IXPs: A's home near B's presence, measured from
+	// the eyeball's home when only B is one.
+	if A.Class != ClassEyeball && B.Class == ClassEyeball {
+		A, B = B, A
+	}
+	return B.presenceWithin(A.loc, km)
 }
 
 // PairUnit returns a deterministic uniform [0,1) deviate for the AS pair.

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"sync"
 
@@ -274,7 +275,10 @@ func (w *World) Store() *artifact.Store { return w.store }
 
 func (w *World) materialize(ctx context.Context, id stage.ID) error {
 	c := w.cells[id]
-	c.once.Do(func() { c.err = w.runStage(ctx, id) })
+	c.once.Do(func() {
+		// CPU profiles attribute the stage's samples to a "stage" label.
+		pprof.Do(ctx, pprof.Labels("stage", string(id)), func(ctx context.Context) { c.err = w.runStage(ctx, id) })
+	})
 	if c.err != nil {
 		return c.err
 	}

@@ -3,12 +3,47 @@ package anycastctx
 import (
 	"context"
 	"errors"
+	"runtime/pprof"
 	"strings"
+	"sync"
 	"testing"
 
 	"anycastctx/internal/obs"
+	"anycastctx/internal/par"
 	"anycastctx/internal/world"
 )
+
+// TestExperimentProfileLabel: every par.DoCtx worker of an experiment
+// sees its pprof "experiment" label, with span collection off and on, so
+// CPU profiles can be split per experiment.
+func TestExperimentProfileLabel(t *testing.T) {
+	w, err := NewWorld(TestScaleConfig(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[string]int{}
+	e := Experiment{ID: "label-probe", Run: func(ctx context.Context, _ *World, _ int64) (Result, error) {
+		par.DoCtx(ctx, 64, func(ctx context.Context, lo, hi int) {
+			v, _ := pprof.Label(ctx, "experiment")
+			mu.Lock()
+			seen[v] += hi - lo
+			mu.Unlock()
+		})
+		return Result{ID: "label-probe"}, nil
+	}}
+	if _, err := runMeasured(context.Background(), w, e, false); err != nil {
+		t.Fatal(err)
+	}
+	obs.Enable()
+	defer obs.Disable()
+	if _, err := runMeasured(context.Background(), w, e, true); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || seen["label-probe"] != 128 {
+		t.Errorf("labels seen by workers (items per label): %v, want label-probe for all 128", seen)
+	}
+}
 
 // TestInstrumentationDoesNotChangeResults is the obs determinism
 // guarantee: with span collection enabled, every experiment's Measured
