@@ -39,7 +39,8 @@ import (
 // direct (2-AS peering win), provider (shortest AS path via transit), and
 // unreachable (no visible site). The cache metrics track the per-resolver
 // route memo: routes_resolved and its phase counters advance only on cache
-// misses (the route is computed exactly once per resolver lifetime);
+// misses (the route is computed once per resolver lifetime, unless
+// concurrent fills race: see Resolver.Route);
 // route_cache_hits counts calls served from the memo, and
 // route_cache_entries gauges total cached routes across all resolvers.
 var (
@@ -378,6 +379,13 @@ func (r *Resolver) slot(src topology.ASN) *routeSlot {
 // calls for the same source return the cached Route (including the shared
 // Waypoints slice, which callers must treat as read-only — every caller
 // does, via Route.Dist or direct iteration).
+//
+// Under concurrent fills of one empty slot both racers resolve the route
+// and the loser returns the winner's, so bgp.routes_resolved, its phase
+// counters (routes_direct, routes_provider, routes_unreachable) and the
+// path-decision counters depend on scheduling unless GOMAXPROCS is 1
+// (par then runs every fan-out on the caller's goroutine). The loser
+// counts as a route_cache_hit, so hits and misses stay exact.
 func (r *Resolver) Route(src topology.ASN) (Route, bool) {
 	s := r.slot(src)
 	if s == nil {

@@ -67,14 +67,8 @@ type Config struct {
 	Seed int64
 	// Scale in (0, 1] shrinks AS counts and probe counts for fast tests.
 	Scale float64
-	// TotalUsers is the modeled global user count (default 1.2e9).
-	TotalUsers float64
 	// Year picks the letter inventory (default DITL2018).
 	Year Year
-	// NumTLDs sizes the root zone (default 1000).
-	NumTLDs int
-	// NumProbes sizes the Atlas platform (default 1000, scaled).
-	NumProbes int
 	// Faults is the fault-injection policy threaded into the capture
 	// campaign (site withdrawal) and CDN telemetry planes (row drops).
 	// The zero value injects nothing and leaves every output
@@ -94,17 +88,8 @@ func (c Config) withDefaults() Config {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.TotalUsers == 0 {
-		c.TotalUsers = 1.2e9
-	}
 	if c.Year == 0 {
 		c.Year = DITL2018
-	}
-	if c.NumTLDs == 0 {
-		c.NumTLDs = 1000
-	}
-	if c.NumProbes == 0 {
-		c.NumProbes = 1000
 	}
 	return c
 }
@@ -124,8 +109,8 @@ var scaleWarnTo io.Writer = os.Stderr
 
 // ScaleFromEnv returns def, overridden by the ANYCASTCTX_TEST_SCALE
 // environment variable when it parses to a value in (0, 1]. It is the one
-// home of that parsing rule (tests, benchmarks, and CI all shrink worlds
-// through it). An unparseable or out-of-range value falls back to def and
+// home of that parsing rule (every test that shrinks its world, in CI
+// too, goes through it). An unparseable or out-of-range value falls back to def and
 // warns on stderr (once per distinct value) instead of being silently
 // ignored.
 func ScaleFromEnv(def float64) float64 {
